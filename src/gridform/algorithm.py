@@ -75,14 +75,24 @@ class PathInstance:
         assert list(self.target_indices) == sorted(set(self.target_indices))
 
 
+def snake_index(p: Point, m: int, n: int) -> Optional[int]:
+    """Position of ``p`` along ``snake_path(m, n)``, or None off the path."""
+    x, y = p
+    if not (0 <= x < n and 0 <= y < m):
+        return None
+    return x * m + (y if x % 2 == 0 else m - 1 - y)
+
+
+def snake_cell(i: int, m: int) -> Point:
+    """The ``i``-th cell of a snake path over columns of height ``m``."""
+    x, r = divmod(i, m)
+    return (x, r if x % 2 == 0 else m - 1 - r)
+
+
 def snake_path(m: int, n: int) -> list[Point]:
     """Boustrophedon path over [0, n-1] x [0, m-1], starting at the origin
     and running up column 0 first."""
-    path = []
-    for x in range(n):
-        ys = range(m) if x % 2 == 0 else range(m - 1, -1, -1)
-        path.extend((x, y) for y in ys)
-    return path
+    return [snake_cell(i, m) for i in range(m * n)]
 
 
 def pf_on_path_step(p: PathInstance, self_index: int) -> Optional[int]:
@@ -91,12 +101,17 @@ def pf_on_path_step(p: PathInstance, self_index: int) -> Optional[int]:
     The i-th robot (by path order) heads for the i-th target and only steps
     onto an empty cell, which keeps the protocol collision- and swap-free.
     """
-    rank = p.robot_indices.index(self_index)
-    goal = p.target_indices[rank]
+    return _pf_step(p.robot_indices, p.target_indices, self_index)
+
+
+def _pf_step(robot_indices: tuple, target_indices: tuple,
+             self_index: int) -> Optional[int]:
+    rank = robot_indices.index(self_index)
+    goal = target_indices[rank]
     if self_index == goal:
         return None
     nxt = self_index + (1 if goal > self_index else -1)
-    if nxt in p.robot_indices:
+    if nxt in robot_indices:
         return None
     return nxt
 
@@ -137,22 +152,26 @@ def _phase3(cf, cv, t):
 
 def _phase4(cf, cv, t):
     head, tail = cv.head, cv.tail
-    path = snake_path(cv.m - 1, cv.n // 2)
-    index = {cell: i for i, cell in enumerate(path)}
-    interior = cf - {head, tail}
-    try:
-        robot_idx = sorted(index[p] for p in interior)
-        target_idx = sorted(index[p] for p in t.c_double_prime)
-    except KeyError as exc:
-        raise RuleViolation(f"point off the phase 4 path: {exc}") from exc
+    m, n = cv.m - 1, cv.n // 2
+
+    def indices(points):
+        out = []
+        for p in points:
+            i = snake_index(p, m, n)
+            if i is None:
+                raise RuleViolation(f"point off the phase 4 path: {p}")
+            out.append(i)
+        return tuple(sorted(out))
+
+    robot_idx = indices(cf - {head, tail})
+    target_idx = indices(t.c_double_prime)
     if 0 in target_idx:
         raise RuleViolation("interior target at the origin")
-    inst = PathInstance(tuple(path), tuple(robot_idx), tuple(target_idx))
     moves = {}
     for i in robot_idx:
-        nxt = pf_on_path_step(inst, i)
-        if nxt is not None and path[nxt] not in cf:
-            moves[path[i]] = path[nxt]
+        nxt = _pf_step(robot_idx, target_idx, i)
+        if nxt is not None and snake_cell(nxt, m) not in cf:
+            moves[snake_cell(i, m)] = snake_cell(nxt, m)
     return moves
 
 

@@ -43,24 +43,6 @@ class Frame:
     y_dir: Optional[Point]
 
 
-def _scan_bits(occupied: frozenset, corner: Point, short_dir: Optional[Point],
-               long_dir: Point, short_len: int, long_len: int) -> str:
-    ox, oy = corner
-    lx, ly = long_dir
-    if short_dir is None:
-        return "".join(
-            "1" if (ox + i * lx, oy + i * ly) in occupied else "0"
-            for i in range(long_len)
-        )
-    sx, sy = short_dir
-    out = []
-    for i in range(long_len):
-        bx, by = ox + i * lx, oy + i * ly
-        for j in range(short_len):
-            out.append("1" if (bx + j * sx, by + j * sy) in occupied else "0")
-    return "".join(out)
-
-
 def _scan_specs(r: Rect):
     """All (corner, short_dir, long_dir, short_len, long_len) scans of r."""
     (x0, y0), (x1, y1) = r.min, r.max
@@ -92,19 +74,41 @@ def _scan_specs(r: Rect):
     return specs
 
 
+def _scan_keys(occupied: frozenset):
+    """(scan spec, key) for every scan of the bounding rectangle.
+
+    A key is the sorted tuple of the indices ``i*short_len + j`` of the 1s.
+    All scans of a rectangle have the same length and k ones, so the smaller
+    key is the larger string. The index is linear in the point, so a key
+    costs O(k log k) whatever the area.
+    """
+    out = []
+    for spec in _scan_specs(bounding_rect(occupied)):
+        (ox, oy), short_dir, (lx, ly), short_len, _ = spec
+        sx, sy = short_dir or (0, 0)
+        a, b = lx * short_len + sx, ly * short_len + sy
+        c = -(a * ox + b * oy)
+        out.append((spec, tuple(sorted([a * x + b * y + c
+                                        for x, y in occupied]))))
+    return out
+
+
 def corner_strings(c: Iterable[Point]) -> list[CornerString]:
-    occupied = frozenset(c)
-    r = bounding_rect(occupied)
-    return [
-        CornerString(corner, sd, ld, _scan_bits(occupied, corner, sd, ld, sl, ll))
-        for corner, sd, ld, sl, ll in _scan_specs(r)
-    ]
+    """The dense occupancy string of every scan, derived from its key.
+    O(area), so only ``analyze`` and the tests use it."""
+    strings = []
+    for (corner, sd, ld, sl, ll), key in _scan_keys(frozenset(c)):
+        bits = ["0"] * (sl * ll)
+        for i in key:
+            bits[i] = "1"
+        strings.append(CornerString(corner, sd, ld, "".join(bits)))
+    return strings
 
 
 def is_asymmetric(c: Iterable[Point]) -> bool:
     """True iff no two corner strings coincide (1x1 counts as asymmetric)."""
-    strings = [cs.bits for cs in corner_strings(c)]
-    return len(strings) == len(set(strings))
+    keys = [key for _, key in _scan_keys(frozenset(c))]
+    return len(keys) == len(set(keys))
 
 
 def _frame_key(f: Frame):
@@ -113,12 +117,12 @@ def _frame_key(f: Frame):
 
 def canonical_frames(c: Iterable[Point]) -> list[Frame]:
     """One frame per corner string achieving the lexicographic maximum."""
-    strings = corner_strings(c)
-    best = max(cs.bits for cs in strings)
+    scans = _scan_keys(frozenset(c))
+    best = min(key for _, key in scans)
     frames = [
-        Frame(cs.corner, cs.long_dir, cs.short_dir)
-        for cs in strings
-        if cs.bits == best
+        Frame(corner, long_dir, short_dir)
+        for (corner, short_dir, long_dir, _, _), key in scans
+        if key == best
     ]
     frames.sort(key=_frame_key)
     return frames

@@ -151,6 +151,7 @@ def cmd_run(args) -> int:
     report = {
         "outcome": outcome.kind,
         "fault": outcome.fault,
+        "detail": outcome.detail,
         "events": outcome.events_used,
         "final": sorted(list(p) for p in outcome.final),
         "verdicts": _verdicts(outcome, target),
@@ -233,7 +234,7 @@ def cmd_fuzz(args) -> int:
     if args.k_min < 3:
         raise CliError("k range must start at 3 or above")
     rng = random.Random(args.seed)
-    kinds = ["random", "round_robin", "max_stale"]
+    kinds = scheduler.ADVERSARY_KINDS
     failures = []
     results = []
     for i in range(args.runs):
@@ -251,7 +252,7 @@ def cmd_fuzz(args) -> int:
             failures.append({
                 "run": i, "k": k, "adversary": kind,
                 "outcome": outcome.kind, "fault": outcome.fault,
-                "verdicts": checks,
+                "detail": outcome.detail, "verdicts": checks,
                 "config": sorted(list(p) for p in config),
                 "target": sorted(list(p) for p in target.points),
             })
@@ -279,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--config", required=True)
     pr.add_argument("--target", required=True)
     pr.add_argument("--adversary", default="random",
-                    choices=["random", "roundrobin", "round_robin", "stale",
-                             "max_stale"])
+                    choices=list(scheduler.ADVERSARIES))
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--fairness", type=int, default=0,
                     help="fairness window W (default 4k)")

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .algorithm import plan_moves
+from .algorithm import RuleViolation, plan_moves
 from .canonical import is_asymmetric
 from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point
 from .target import TargetPattern
@@ -51,6 +51,7 @@ class Outcome:
     events_used: int
     final: frozenset
     fault: Optional[str] = None  # collision | symmetric-input | stuck-symmetric | internal
+    detail: Optional[str] = None  # the rule's message for a RuleViolation fault
 
 
 class Adversary:
@@ -124,7 +125,7 @@ class MaxStaleAdversary(Adversary):
         return [(r, LOOK) for r in looks] + [(r, MOVE) for r in moves]
 
 
-_ADVERSARIES = {
+ADVERSARIES = {
     "random": RandomAdversary,
     "round_robin": RoundRobinAdversary,
     "roundrobin": RoundRobinAdversary,
@@ -132,10 +133,13 @@ _ADVERSARIES = {
     "stale": MaxStaleAdversary,
 }
 
+#: One name per adversary class, in table order (the aliases left out).
+ADVERSARY_KINDS = tuple(cls.name for cls in dict.fromkeys(ADVERSARIES.values()))
+
 
 def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
     try:
-        cls = _ADVERSARIES[kind]
+        cls = ADVERSARIES[kind]
     except KeyError:
         raise ValueError(f"unknown adversary kind: {kind!r}") from None
     return cls(fairness_window, seed)
@@ -182,7 +186,11 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
             if kind == LOOK:
                 positions = frozenset(r.pos for r in robots)
                 local = rob.frame.apply_set(positions)
-                plan = local_plan(local)
+                try:
+                    plan = local_plan(local)
+                except RuleViolation as exc:
+                    return Outcome("FAULT", trace, index, positions,
+                                   fault="internal", detail=str(exc))
                 dest_local = plan.moves.get(rob.frame.apply(rob.pos))
                 if dest_local is not None:
                     rob.pending_dest = inverses[rid].apply(dest_local)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,10 +11,14 @@ from gridform.algorithm import (
     Snapshot,
     compute,
     pf_on_path_step,
+    phase_moves,
     plan_moves,
+    snake_cell,
+    snake_index,
     snake_path,
 )
 from gridform.canonical import canonical_frames, is_asymmetric
+from gridform.conditions import evaluate_conditions
 from gridform.geometry import Isometry, apply_isometry
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.target import canonicalize_target
@@ -33,6 +38,27 @@ class TestSnakePath:
 
     def test_single_column(self):
         assert snake_path(4, 1) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+    def test_closed_form_maps_are_inverse(self):
+        for m in range(1, 8):
+            for n in range(1, 8):
+                for i in range(m * n):
+                    assert snake_index(snake_cell(i, m), m, n) == i
+                cells = {snake_cell(i, m) for i in range(m * n)}
+                for x in range(-1, n + 1):
+                    for y in range(-1, m + 1):
+                        i = snake_index((x, y), m, n)
+                        assert (i is None) == ((x, y) not in cells)
+
+    @pytest.mark.parametrize("m, n, literal", [
+        (2, 2, [(0, 0), (0, 1), (1, 1), (1, 0)]),
+        (4, 1, [(0, 0), (0, 1), (0, 2), (0, 3)]),
+        (3, 4, [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0),
+                (2, 0), (2, 1), (2, 2), (3, 2), (3, 1), (3, 0)]),
+    ])
+    def test_closed_form_matches_literal_paths(self, m, n, literal):
+        assert [snake_index(p, m, n) for p in literal] == list(range(m * n))
+        assert [snake_cell(i, m) for i in range(m * n)] == literal
 
     @given(m=st.integers(1, 6), n=st.integers(1, 6))
     def test_hamiltonian_over_the_rectangle(self, m, n):
@@ -161,6 +187,22 @@ class TestPhaseRules:
         cells = set(snake_path(m - 1, n // 2))
         assert movers <= cells
         assert set(plan.moves.values()) <= cells
+
+    def test_phase4_point_off_the_path_is_a_rule_violation(self):
+        config, target, _ = PHASE_CASES["P4"]
+        # the path covers x < n // 2 = 5; move one interior robot past it
+        cf = (frozenset(config) - {(3, 2)}) | {(6, 2)}
+        cv = evaluate_conditions(cf, target)
+        with pytest.raises(RuleViolation, match="off the phase 4 path"):
+            phase_moves(cf, cv, "P4", target)
+
+    def test_phase4_interior_target_at_origin_is_a_rule_violation(self):
+        config, target, _ = PHASE_CASES["P4"]
+        cf = frozenset(config)
+        moved = sorted(target.c_double_prime)[1:] + [(0, 0)]
+        bad = dataclasses.replace(target, c_double_prime=frozenset(moved))
+        with pytest.raises(RuleViolation, match="interior target at the origin"):
+            phase_moves(cf, evaluate_conditions(cf, target), "P4", bad)
 
     def test_moves_never_collide(self):
         for config, target, _ in PHASE_CASES.values():

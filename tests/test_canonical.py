@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridform.canonical import (
     Frame,
+    _frame_key,
     brute_force_symmetries,
     canonical_frames,
     corner_strings,
@@ -29,6 +30,60 @@ isometry_strategy = st.builds(
     tx=st.integers(-3, 3),
     ty=st.integers(-3, 3),
 )
+
+coord = st.integers(0, 40)
+
+
+@st.composite
+def wide_sparse_points(draw):
+    """1-8 points in a box up to 41x41, with lines and squares forced."""
+    shape = draw(st.sampled_from(["any", "row", "column", "square"]))
+    if shape == "any":
+        return draw(st.frozensets(st.tuples(coord, coord),
+                                  min_size=1, max_size=8))
+    if shape in ("row", "column"):
+        fixed = draw(coord)
+        along = draw(st.frozensets(coord, min_size=1, max_size=8))
+        return frozenset((a, fixed) if shape == "row" else (fixed, a)
+                         for a in along)
+    side = draw(st.integers(1, 40))
+    edge = st.integers(0, side)
+    # one point on each side pins the bounding rectangle to side x side
+    forced = {(0, draw(edge)), (side, draw(edge)),
+              (draw(edge), 0), (draw(edge), side)}
+    extra = draw(st.frozensets(st.tuples(edge, edge), max_size=8 - len(forced)))
+    return frozenset(forced) | extra
+
+
+def dense_reference_scans(c):
+    """(frame_string, frame) for every frame that places ``c`` in the first
+    quadrant with its longer side along x: the corner scans, enumerated
+    from the dense strings alone."""
+    c = frozenset(c)
+    if len(c) == 1:
+        f = Frame(next(iter(c)), (1, 0), None)
+        return [(frame_string(c, f), f)]
+    r = bounding_rect(c)
+    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    collinear = r.width_pts == 1 or r.height_pts == 1
+    corners = {(x, y) for x in (r.min[0], r.max[0])
+               for y in (r.min[1], r.max[1])}
+    scans = []
+    for origin in corners:
+        for x_dir in units:
+            for y_dir in [None] if collinear else units:
+                if y_dir is not None and (x_dir[0] * y_dir[0]
+                                          + x_dir[1] * y_dir[1]) != 0:
+                    continue
+                f = Frame(origin, x_dir, y_dir)
+                try:
+                    rf = bounding_rect(to_frame_coords(c, f))
+                except ValueError:  # undetermined Y off the line
+                    continue
+                if rf.min == (0, 0) and rf.width_pts >= rf.height_pts:
+                    scans.append((frame_string(c, f), f))
+    return scans
+
 
 TROMINO_2x2 = frozenset({(0, 0), (0, 1), (1, 1)})
 LINE_1101 = frozenset({(0, 0), (1, 0), (3, 0)})
@@ -175,6 +230,27 @@ class TestCanonicalFrames:
         best = max(cs.bits for cs in corner_strings(c))
         for f in canonical_frames(c):
             assert frame_string(c, f) == best
+
+
+class TestWideSparseRectangles:
+    """The sparse keys against the dense strings, on rectangles far wider
+    than ``points_strategy`` reaches."""
+
+    @settings(max_examples=300)
+    @given(c=wide_sparse_points())
+    def test_frames_are_the_dense_maxima(self, c):
+        scans = dense_reference_scans(c)
+        best = max(bits for bits, _ in scans)
+        expected = sorted((f for bits, f in scans if bits == best),
+                          key=_frame_key)
+        assert canonical_frames(c) == expected
+        assert (sorted(cs.bits for cs in corner_strings(c))
+                == sorted(bits for bits, _ in scans))
+
+    @settings(max_examples=300)
+    @given(c=wide_sparse_points())
+    def test_asymmetry_agrees_with_brute_force(self, c):
+        assert is_asymmetric(c) == (not brute_force_symmetries(c))
 
 
 class TestFrameCoords:

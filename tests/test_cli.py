@@ -16,10 +16,20 @@ from gridform.cli import (
     render_ascii,
     write_trace,
 )
+from gridform import scheduler
+from gridform.algorithm import RuleViolation
 from gridform.scheduler import make_adversary, run
 from gridform.target import canonicalize_target
 
 from conftest import REF11, REF11_HEAD, REF11_STRING, REF11_TAIL, LINE11
+
+
+@pytest.fixture
+def broken_rule(monkeypatch):
+    def broken(points, target):
+        raise RuleViolation("cell below the head is occupied")
+
+    monkeypatch.setattr(scheduler, "plan_moves", broken)
 
 
 @pytest.fixture
@@ -136,6 +146,21 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert len(events) == report["events"]
 
+    def test_rule_violation_reported_as_fault(self, ref11_file, line_file,
+                                              broken_rule, capsys):
+        rc = main(["run", "--config", ref11_file, "--target", line_file])
+        assert rc == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["fault"] == "internal"
+        assert report["detail"] == "cell below the head is occupied"
+
+    def test_every_adversary_name_is_accepted(self, ref11_file, line_file,
+                                              capsys):
+        for kind in scheduler.ADVERSARIES:
+            rc = main(["run", "--config", ref11_file, "--target", line_file,
+                       "--adversary", kind, "--max-events", "2"])
+            assert rc == EXIT_LIMIT
+
     def test_size_mismatch_usage_error(self, ref11_file, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("0 0\n")
@@ -195,6 +220,15 @@ class TestFuzzCommand:
         assert report["runs"] == 6
         assert report["formed"] == 6
         assert report["failures"] == []
+
+    def test_rule_violation_does_not_abort_the_batch(self, broken_rule, capsys):
+        rc = main(["fuzz", "--runs", "3", "--k-range", "3..4", "--box", "6"])
+        assert rc == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["formed"] == 0
+        assert [f["run"] for f in report["failures"]] == [0, 1, 2]
+        assert {f["detail"] for f in report["failures"]} == {
+            "cell below the head is occupied"}
 
     def test_bad_range_usage_error(self, capsys):
         assert main(["fuzz", "--runs", "1", "--k-range", "oops"]) == EXIT_USAGE

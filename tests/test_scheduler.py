@@ -1,5 +1,7 @@
 import pytest
 
+from gridform import scheduler
+from gridform.algorithm import RuleViolation
 from gridform.geometry import IDENTITY
 from gridform.scheduler import (
     LOOK,
@@ -146,3 +148,18 @@ class TestRun:
                 ev.pos_after if ev.kind == MOVE else ev.pos_before
             )
         assert frozenset(positions.values()) == out.final
+
+
+class TestRuleViolation:
+    def test_becomes_an_internal_fault(self, monkeypatch):
+        def broken(points, target):
+            raise RuleViolation("phase 2 with the head already at the origin")
+
+        monkeypatch.setattr(scheduler, "plan_moves", broken)
+        out = run(REF11, LINE_TARGET, make_adversary("round_robin", 44))
+        assert out.kind == "FAULT"
+        assert out.fault == "internal"
+        assert out.detail == "phase 2 with the head already at the origin"
+        assert out.events_used == 0
+        assert out.trace == []
+        assert out.final == REF11
