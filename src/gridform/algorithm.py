@@ -37,13 +37,12 @@ class MoveDecision:
 
     direction: Optional[Point] = None
     stuck_symmetric: bool = False
+    phase: Optional[str] = None  # of the plan the step was read from
+    formed: bool = False
 
     @property
     def is_stay(self) -> bool:
         return self.direction is None
-
-
-STAY = MoveDecision()
 
 
 @dataclass(frozen=True)
@@ -288,11 +287,11 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
 
 
 def compute(s: Snapshot, t: TargetPattern) -> MoveDecision:
-    """Look-Compute step of a single robot: snapshot in, decision out."""
+    """Look-Compute step of a single robot: its entry in ``plan_moves``."""
     if s.self_pos not in s.points:
         raise ValueError("snapshot does not contain the observing robot")
     plan = plan_moves(s.points, t)
     dest = plan.moves.get(s.self_pos)
-    if dest is None:
-        return MoveDecision(None, stuck_symmetric=plan.stuck_symmetric)
-    return MoveDecision((dest[0] - s.self_pos[0], dest[1] - s.self_pos[1]))
+    step = None if dest is None else (dest[0] - s.self_pos[0],
+                                      dest[1] - s.self_pos[1])
+    return MoveDecision(step, plan.stuck_symmetric, plan.phase, plan.formed)

@@ -179,7 +179,6 @@ def cmd_analyze(args) -> int:
         print(f"corner {cs.corner} short {_dir_name(cs.short_dir)} "
               f"long {_dir_name(cs.long_dir)}: {cs.bits}")
     best = max(cs.bits for cs in strings)
-    winners = [cs for cs in strings if cs.bits == best]
     print(f"maximal string: {best}")
     if is_asymmetric(config):
         print("asymmetric: yes")

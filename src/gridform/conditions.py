@@ -8,9 +8,6 @@ from typing import Iterable
 from .geometry import Point, bounding_rect
 from .target import TargetPattern
 
-PHASES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7", "DONE")
-
-
 @dataclass(frozen=True)
 class ConditionVector:
     c0: bool
@@ -57,18 +54,20 @@ def evaluate_conditions(c_frame: Iterable[Point], t: TargetPattern) -> Condition
     n, m = r.width_pts, r.height_pts
     order = sorted(cf)  # scan order of the canonical string
     head, tail = order[0], order[-1]
+    # c1 and c7: equal sizes (k-1, k-2), so a subset test is set equality
     c_prime = cf - {tail}
+    dp = c_prime - {head}
     rp = bounding_rect(c_prime)
     H, V = rp.width_pts, rp.height_pts
     return ConditionVector(
         c0=cf == t.points,
-        c1=c_prime == t.c_prime,
+        c1=c_prime <= t.points and t.t_target not in c_prime,
         c2=tail[1] == t.t_target[1],
         c3=n >= max(t.M, m) + 2,
         c4=n >= 2 * max(t.N, H),
         c5=head == (0, 0),
         c6=m >= max(t.M, V) + 1,
-        c7=cf - {head, tail} == t.c_double_prime,
+        c7=dp <= t.points and t.h_target not in dp and t.t_target not in dp,
         c8=has_horizontal_reflection(c_prime),
         m=m,
         n=n,

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .canonical import is_asymmetric
 from .geometry import Point
+
+
+@lru_cache(maxsize=None)
+def _cells(box: int) -> tuple:
+    """The cells of a box x box grid, shared by every sample from it."""
+    return tuple((x, y) for x in range(box) for y in range(box))
 
 
 def random_points(k: int, box: int, rng: random.Random) -> frozenset:
     """k distinct lattice points inside a box x box grid."""
     if k > box * box:
         raise ValueError("box too small for k distinct points")
-    cells = [(x, y) for x in range(box) for y in range(box)]
-    return frozenset(rng.sample(cells, k))
+    return frozenset(rng.sample(_cells(box), k))
 
 
 def random_asymmetric_config(k: int, box: int, rng: random.Random,

@@ -11,12 +11,12 @@ contains a complete cycle of every robot.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .algorithm import RuleViolation, plan_moves
 from .canonical import is_asymmetric
-from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point
+from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point, bounding_rect
 from .target import TargetPattern
 
 LOOK = "LOOK_COMPUTE"
@@ -145,6 +145,24 @@ def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
     return cls(fairness_window, seed)
 
 
+def _plan(plans: dict, positions: frozenset, frame: Isometry,
+          target: TargetPattern):
+    """Plan ``positions`` once, in global coordinates, into ``plans``. A
+    collinear one has no covariant Y-axis (``effective_y_dir``), so it is
+    planned in the robot's own frame under the key (positions, frame)."""
+    r = bounding_rect(positions)
+    if r.width_pts > 1 and r.height_pts > 1:
+        plans[positions] = plan = plan_moves(positions, target)
+        return plan
+    key = (positions, frame)
+    if key not in plans:
+        local = plan_moves(frame.apply_set(positions), target)
+        inv = frame.inverse()
+        plans[key] = replace(local, moves={
+            inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
+    return plans[key]
+
+
 def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         max_events: int = 100_000) -> Outcome:
     """Simulate until the pattern is formed, a fault occurs, or the event
@@ -160,18 +178,11 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         return Outcome("FAULT", trace, 0, initial, fault="symmetric-input")
 
     frames = adversary.robot_frames(k)
-    inverses = [f.inverse() for f in frames]
     robots = [
         RobotState(i, pos, frames[i]) for i, pos in enumerate(sorted(initial))
     ]
-    plan_cache: dict = {}
-
-    def local_plan(local_points: frozenset):
-        plan = plan_cache.get(local_points)
-        if plan is None:
-            plan = plan_moves(local_points, target)
-            plan_cache[local_points] = plan
-        return plan
+    positions = initial
+    plans: dict = {}
 
     index = 0
     while True:
@@ -180,22 +191,17 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         any_stuck = False
         for rid, kind in adversary.round_order(k):
             if index >= max_events:
-                positions = frozenset(r.pos for r in robots)
                 return Outcome("LIMIT_EXCEEDED", trace, index, positions)
             rob = robots[rid]
             if kind == LOOK:
-                positions = frozenset(r.pos for r in robots)
-                local = rob.frame.apply_set(positions)
-                try:
-                    plan = local_plan(local)
-                except RuleViolation as exc:
-                    return Outcome("FAULT", trace, index, positions,
-                                   fault="internal", detail=str(exc))
-                dest_local = plan.moves.get(rob.frame.apply(rob.pos))
-                if dest_local is not None:
-                    rob.pending_dest = inverses[rid].apply(dest_local)
-                else:
-                    rob.pending_dest = None
+                plan = plans.get(positions)
+                if plan is None:
+                    try:
+                        plan = _plan(plans, positions, rob.frame, target)
+                    except RuleViolation as exc:
+                        return Outcome("FAULT", trace, index, positions,
+                                       fault="internal", detail=str(exc))
+                rob.pending_dest = plan.moves.get(rob.pos)
                 rob.stage = "COMPUTED"
                 rob.pending_since = index
                 all_formed = all_formed and plan.formed
@@ -209,15 +215,14 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                 rob.pending_dest = None
                 rob.pending_since = None
                 if dest is not None:
-                    occupied = {r.pos for r in robots if r.id != rid}
                     trace.append(
                         Event(index, rid, MOVE, rob.pos, pos_after=dest,
                               snapshot_index=snap)
                     )
-                    if dest in occupied:
-                        positions = frozenset(r.pos for r in robots)
+                    if dest != rob.pos and dest in positions:
                         return Outcome("FAULT", trace, index + 1, positions,
                                        fault="collision")
+                    positions = (positions - {rob.pos}) | {dest}
                     rob.pos = dest
                     moved = True
                 else:
@@ -227,7 +232,6 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                     )
             index += 1
         if not moved:
-            positions = frozenset(r.pos for r in robots)
             if all_formed:
                 return Outcome("FORMED", trace, index, positions)
             fault = "stuck-symmetric" if any_stuck else "internal"

@@ -16,6 +16,7 @@ class TargetPattern:
     The bounding rectangle is [0, N-1] x [0, M-1] with N >= M, and the
     occupancy string scanned from the origin (+y within a column, columns
     advancing +x) is lexicographically maximal among all corner strings.
+    C' (no tail) and C'' (no head, no tail) are derived on each read.
     """
 
     points: frozenset
@@ -23,8 +24,14 @@ class TargetPattern:
     N: int
     h_target: Point
     t_target: Point
-    c_prime: frozenset
-    c_double_prime: frozenset
+
+    @property
+    def c_prime(self) -> frozenset:
+        return self.points - {self.t_target}
+
+    @property
+    def c_double_prime(self) -> frozenset:
+        return self.points - {self.h_target, self.t_target}
 
 
 def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
@@ -52,6 +59,4 @@ def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
         N=n,
         h_target=h,
         t_target=t,
-        c_prime=points - {t},
-        c_double_prime=points - {h, t},
     )

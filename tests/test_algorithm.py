@@ -199,8 +199,11 @@ class TestPhaseRules:
     def test_phase4_interior_target_at_origin_is_a_rule_violation(self):
         config, target, _ = PHASE_CASES["P4"]
         cf = frozenset(config)
-        moved = sorted(target.c_double_prime)[1:] + [(0, 0)]
-        bad = dataclasses.replace(target, c_double_prime=frozenset(moved))
+        # another interior cell as h_target leaves the real head, the
+        # origin, in the derived c_double_prime
+        other = min(target.c_double_prime)
+        bad = dataclasses.replace(target, h_target=other)
+        assert (0, 0) in bad.c_double_prime
         with pytest.raises(RuleViolation, match="interior target at the origin"):
             phase_moves(cf, evaluate_conditions(cf, target), "P4", bad)
 

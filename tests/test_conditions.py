@@ -121,3 +121,31 @@ class TestClassify:
                 continue
             matching = [p for p, pred in PREDICATES.items() if pred(cv)]
             assert matching == [classify_phase(cv)]
+
+
+def test_subset_forms_of_c1_and_c7_equal_set_equality():
+    """c1 and c7 are subset tests against the target; over configurations
+    random and near the target (tail, or head and tail, replaced) they
+    agree with the set-equality definitions C' = C'_target and
+    C'' = C''_target."""
+    from gridform.sampling import random_points
+
+    rng = random.Random(20260824)
+    hits = {"c1": 0, "c7": 0}
+    for i in range(2400):
+        k = 2 + i % 7
+        t = canonicalize_target(random_points(k, 5, rng))
+        drop = [set(), {t.t_target}, {t.h_target, t.t_target}][i % 3]
+        cf = set(t.points - drop) if drop else set()
+        while len(cf) < k:
+            cf.add((rng.randrange(7), rng.randrange(7)))
+        cf = frozenset(cf)
+        order = sorted(cf)
+        head, tail = order[0], order[-1]
+        c1 = cf - {tail} == t.points - {t.t_target}
+        c7 = cf - {head, tail} == t.points - {t.h_target, t.t_target}
+        cv = evaluate_conditions(cf, t)
+        assert (cv.c1, cv.c7) == (c1, c7), (sorted(cf), sorted(t.points))
+        hits["c1"] += c1
+        hits["c7"] += c7
+    assert min(hits.values()) > 100

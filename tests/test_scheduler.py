@@ -1,7 +1,7 @@
 import pytest
 
 from gridform import scheduler
-from gridform.algorithm import RuleViolation
+from gridform.algorithm import RuleViolation, StepPlan
 from gridform.geometry import IDENTITY
 from gridform.scheduler import (
     LOOK,
@@ -163,3 +163,17 @@ class TestRuleViolation:
         assert out.events_used == 0
         assert out.trace == []
         assert out.final == REF11
+
+
+class TestCollision:
+    def test_move_onto_an_occupied_cell_is_a_collision(self, monkeypatch):
+        def onto_neighbour(points, target):
+            return StepPlan(formed=False, phase="P1", moves={(0, 1): (0, 3)})
+
+        monkeypatch.setattr(scheduler, "plan_moves", onto_neighbour)
+        out = run(REF11, LINE_TARGET, make_adversary("round_robin", 44))
+        assert out.kind == "FAULT"
+        assert out.fault == "collision"
+        assert out.events_used == 2
+        assert out.final == REF11
+        assert out.trace[-1].pos_after == (0, 3)

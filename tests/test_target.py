@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,3 +74,17 @@ def test_derived_fields(raw):
     if len(t.points) >= 2:
         assert t.h_target != t.t_target
         assert len(t.c_double_prime) == len(t.points) - 2
+
+
+def test_interior_sets_are_derived_from_the_stored_fields():
+    from dataclasses import fields
+
+    from gridform.sampling import random_points
+
+    assert {f.name for f in fields(canonicalize_target(REF11))} == {
+        "points", "M", "N", "h_target", "t_target"}
+    rng = random.Random(7)
+    for i in range(2000):
+        t = canonicalize_target(random_points(2 + i % 9, 6, rng))
+        assert t.c_prime == t.points - {t.t_target}
+        assert t.c_double_prime == t.points - {t.h_target, t.t_target}
