@@ -12,7 +12,6 @@ from .algorithm import (
 )
 from .canonical import (
     CornerString,
-    Frame,
     brute_force_symmetries,
     canonical_frames,
     corner_strings,
@@ -21,7 +20,7 @@ from .canonical import (
     to_frame_coords,
 )
 from .conditions import ConditionVector, classify_phase, evaluate_conditions
-from .geometry import Isometry, Point, Rect, apply_isometry, bounding_rect, similar
+from .geometry import Isometry, Point, Rect, bounding_rect, similar
 from .scheduler import Adversary, Event, Outcome, make_adversary, run
 from .target import TargetPattern, canonicalize_target
 
@@ -30,7 +29,6 @@ __all__ = [
     "ConditionVector",
     "CornerString",
     "Event",
-    "Frame",
     "Isometry",
     "MoveDecision",
     "Outcome",
@@ -40,7 +38,6 @@ __all__ = [
     "Snapshot",
     "StepPlan",
     "TargetPattern",
-    "apply_isometry",
     "bounding_rect",
     "brute_force_symmetries",
     "canonical_frames",

@@ -57,14 +57,12 @@ class StepPlan:
     phase: Optional[str]
     moves: dict = field(default_factory=dict)
     stuck_symmetric: bool = False
-    blocked: bool = False
 
 
 @dataclass(frozen=True)
 class PathInstance:
     """Robots and targets as positions along a fixed grid path."""
 
-    cells: tuple
     robot_indices: tuple
     target_indices: tuple
 
@@ -205,7 +203,7 @@ def _phase6(cf, cv, t):
         raise RuleViolation("phase 6 with the head already at h_target")
     dest = (head[0], head[1] + dy)
     if dest in cf:
-        return {}  # blocked; not expected on valid runs
+        raise RuleViolation(f"phase 6 head blocked: {dest} is occupied")
     return {head: dest}
 
 
@@ -216,7 +214,7 @@ def _phase7(cf, cv, t):
         raise RuleViolation("phase 7 with the tail already at t_target")
     dest = (tail[0] + dx, tail[1])
     if dest in cf:
-        return {}  # blocked; not expected on valid runs
+        raise RuleViolation(f"phase 7 tail blocked: {dest} is occupied")
     return {tail: dest}
 
 
@@ -250,12 +248,11 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     if len(points) == 1:
         return StepPlan(formed=True, phase="DONE")
     frames = canonical_frames(points)
-    for f in frames:
-        if to_frame_coords(points, f) == t.points:
-            return StepPlan(formed=True, phase="DONE")
+    images = [to_frame_coords(points, f) for f in frames]
+    if t.points in images:
+        return StepPlan(formed=True, phase="DONE")
 
-    def frame_plan(f):
-        cf = to_frame_coords(points, f)
+    def frame_plan(f, cf):
         cv = evaluate_conditions(cf, t)
         phase = classify_phase(cv)
         fm = phase_moves(cf, cv, phase, t)
@@ -266,14 +263,13 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
         return phase, moves
 
     if len(frames) == 1:
-        phase, moves = frame_plan(frames[0])
-        return StepPlan(formed=False, phase=phase, moves=moves,
-                        blocked=not moves)
+        phase, moves = frame_plan(frames[0], images[0])
+        return StepPlan(formed=False, phase=phase, moves=moves)
 
     plans = []
-    for f in frames:
+    for f, cf in zip(frames, images):
         try:
-            plans.append(frame_plan(f))
+            plans.append(frame_plan(f, cf))
         except RuleViolation:
             plans.append((None, {}))
     first_phase = next((ph for ph, _ in plans if ph), None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .geometry import Isometry, Point, Rect, _from_matrix, bounding_rect
+from .geometry import Isometry, Point, Rect, bounding_rect
 
 
 @dataclass(frozen=True)
@@ -28,19 +28,6 @@ class CornerString:
     short_dir: Optional[Point]
     long_dir: Point
     bits: str
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Candidate canonical coordinate system.
-
-    ``y_dir`` is None exactly when the configuration is collinear along
-    ``x_dir`` and no Y-axis agreement exists.
-    """
-
-    origin: Point
-    x_dir: Point
-    y_dir: Optional[Point]
 
 
 def _scan_specs(r: Rect):
@@ -111,64 +98,41 @@ def is_asymmetric(c: Iterable[Point]) -> bool:
     return len(keys) == len(set(keys))
 
 
-def _frame_key(f: Frame):
-    return (f.origin, f.x_dir, f.y_dir if f.y_dir is not None else (9, 9))
+def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
+    """One frame per corner string achieving the lexicographic maximum,
+    ordered by origin, then by x direction.
 
-
-def canonical_frames(c: Iterable[Point]) -> list[Frame]:
-    """One frame per corner string achieving the lexicographic maximum."""
+    A frame maps ``c`` into its canonical coordinates: the scan's corner to
+    the origin, its ``long_dir`` to +x and its ``short_dir`` to +y. A
+    collinear ``c`` (or a single point) has no ``short_dir`` and no Y-axis
+    agreement; the robot then falls back to its own +y when the line is
+    horizontal in its view (else +x). The two global outcomes are mirror
+    images and similarity of the final pattern is unaffected.
+    """
     scans = _scan_keys(frozenset(c))
     best = min(key for _, key in scans)
-    frames = [
-        Frame(corner, long_dir, short_dir)
-        for (corner, short_dir, long_dir, _, _), key in scans
-        if key == best
-    ]
-    frames.sort(key=_frame_key)
+    frames = []
+    for (ox, oy), short_dir, (xa, xb), _, _ in sorted(
+            (spec for spec, key in scans if key == best),
+            key=lambda spec: (spec[0], spec[2])):
+        ya, yb = short_dir or ((0, 1) if xb == 0 else (1, 0))
+        frames.append(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
+                               -(ya * ox + yb * oy)))
     return frames
 
 
-def effective_y_dir(f: Frame) -> Point:
-    """Y direction used for moves off a collinear configuration.
-
-    For an undetermined Y-axis the robot falls back to its own +y when the
-    line is horizontal in its view (else +x); the two global outcomes are
-    mirror images and similarity of the final pattern is unaffected.
-    """
-    if f.y_dir is not None:
-        return f.y_dir
-    return (0, 1) if f.x_dir[1] == 0 else (1, 0)
-
-
-def to_frame_coords(c: Iterable[Point], f: Frame) -> frozenset:
+def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:
     """Express ``c`` in the coordinate system of ``f`` (first quadrant)."""
-    ox, oy = f.origin
-    xx, xy = f.x_dir
-    out = set()
-    if f.y_dir is None:
-        for px, py in c:
-            dx, dy = px - ox, py - oy
-            u = dx * xx + dy * xy
-            if (dx, dy) != (u * xx, u * xy):
-                raise ValueError("undetermined Y-axis with non-collinear points")
-            out.add((u, 0))
-        return frozenset(out)
-    yx, yy = f.y_dir
-    for px, py in c:
-        dx, dy = px - ox, py - oy
-        out.add((dx * xx + dy * xy, dx * yx + dy * yy))
-    return frozenset(out)
+    return f.apply_set(c)
 
 
-def from_frame_coords(q: Point, f: Frame) -> Point:
+def from_frame_coords(q: Point, f: Isometry) -> Point:
     """Map frame coordinates back to the coordinates ``f`` was built in."""
-    yx, yy = effective_y_dir(f)
-    u, v = q
-    return (f.origin[0] + u * f.x_dir[0] + v * yx,
-            f.origin[1] + u * f.x_dir[1] + v * yy)
+    u, v = q[0] - f.tx, q[1] - f.ty
+    return (f.a * u + f.c * v, f.b * u + f.d * v)
 
 
-def frame_string(c: Iterable[Point], f: Frame) -> str:
+def frame_string(c: Iterable[Point], f: Isometry) -> str:
     """The occupancy string of ``c`` scanned in frame ``f``."""
     cf = to_frame_coords(c, f)
     rf = bounding_rect(cf)
@@ -178,7 +142,7 @@ def frame_string(c: Iterable[Point], f: Frame) -> str:
     )
 
 
-def head_tail(c: Iterable[Point], f: Frame) -> tuple[Point, Point]:
+def head_tail(c: Iterable[Point], f: Isometry) -> tuple[Point, Point]:
     """Points of the first and last 1 of the frame's string, in the
     coordinates ``c`` was given in."""
     occupied = frozenset(c)
@@ -229,5 +193,5 @@ def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
             if degenerate and all(fmap(p) == p for p in occupied):
                 continue
             tx, ty = fmap((0, 0))
-            out.append(_from_matrix(matrix, tx, ty))
+            out.append(Isometry(*matrix, tx, ty))
     return out

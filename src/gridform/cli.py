@@ -18,7 +18,7 @@ from .canonical import (
     is_asymmetric,
     to_frame_coords,
 )
-from .geometry import Point
+from .geometry import Point, bounding_rect
 from .sampling import random_asymmetric_config, random_points
 from .conditions import classify_phase, evaluate_conditions
 from .target import canonicalize_target
@@ -77,6 +77,8 @@ def write_trace(trace: Iterable[scheduler.Event], out: TextIO):
             rec["to"] = list(ev.pos_after)
         if ev.phase is not None:
             rec["phase"] = ev.phase
+        if ev.snapshot_index is not None:
+            rec["snapshot"] = ev.snapshot_index
         out.write(json.dumps(rec) + "\n")
 
 
@@ -92,6 +94,7 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
             pos_before=tuple(rec["from"]),
             pos_after=tuple(rec["to"]) if "to" in rec else None,
             phase=rec.get("phase"),
+            snapshot_index=rec.get("snapshot"),
         ))
     return events
 
@@ -187,9 +190,12 @@ def cmd_analyze(args) -> int:
                         if sum(1 for o in strings if o.bits == cs.bits) > 1})
         print(f"symmetric (duplicate strings: {', '.join(dupes)})")
     frames = canonical_frames(config)
+    r = bounding_rect(config)
+    collinear = r.width_pts == 1 or r.height_pts == 1
     for f in frames:
-        print(f"frame: origin {f.origin} x_dir {_dir_name(f.x_dir)} "
-              f"y_dir {_dir_name(f.y_dir) if f.y_dir else 'UNDETERMINED'}")
+        print(f"frame: origin {f.inverse().apply((0, 0))} "
+              f"x_dir {_dir_name((f.a, f.b))} y_dir "
+              f"{'UNDETERMINED' if collinear else _dir_name((f.c, f.d))}")
     if len(config) >= 2:
         head, tail = head_tail(config, frames[0])
         print(f"head: {head}")

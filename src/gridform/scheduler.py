@@ -148,8 +148,9 @@ def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
 def _plan(plans: dict, positions: frozenset, frame: Isometry,
           target: TargetPattern):
     """Plan ``positions`` once, in global coordinates, into ``plans``. A
-    collinear one has no covariant Y-axis (``effective_y_dir``), so it is
-    planned in the robot's own frame under the key (positions, frame)."""
+    collinear one has no covariant Y-axis (its canonical frame's y row is a
+    local fallback), so it is planned in the robot's own frame under the key
+    (positions, frame)."""
     r = bounding_rect(positions)
     if r.width_pts > 1 and r.height_pts > 1:
         plans[positions] = plan = plan_moves(positions, target)

@@ -131,9 +131,7 @@ def oracle_pf_on_path(p: PathInstance, max_orders: int = 6,
         while positions != list(p.target_indices):
             progressed = False
             for i in order:
-                inst = PathInstance(
-                    p.cells, tuple(sorted(positions)), p.target_indices
-                )
+                inst = PathInstance(tuple(sorted(positions)), p.target_indices)
                 nxt = pf_on_path_step(inst, positions[i])
                 if nxt is not None:
                     positions[i] = nxt

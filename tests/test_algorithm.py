@@ -17,9 +17,9 @@ from gridform.algorithm import (
     snake_index,
     snake_path,
 )
-from gridform.canonical import canonical_frames, is_asymmetric
+from gridform.canonical import is_asymmetric
 from gridform.conditions import evaluate_conditions
-from gridform.geometry import Isometry, apply_isometry
+from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.target import canonicalize_target
 
@@ -71,30 +71,30 @@ class TestSnakePath:
 
 class TestPFonPath:
     def test_only_the_lead_robot_moves(self):
-        p = PathInstance(tuple(snake_path(2, 3)), (0, 1, 2), (3, 4, 5))
+        p = PathInstance((0, 1, 2), (3, 4, 5))
         assert pf_on_path_step(p, 0) is None  # blocked by the robot at 1
         assert pf_on_path_step(p, 1) is None
         assert pf_on_path_step(p, 2) == 3
 
     def test_backward_movement(self):
-        p = PathInstance(tuple(snake_path(2, 3)), (3, 4, 5), (0, 1, 2))
+        p = PathInstance((3, 4, 5), (0, 1, 2))
         assert pf_on_path_step(p, 3) == 2
         assert pf_on_path_step(p, 4) is None
 
     def test_robot_at_its_target_stays(self):
-        p = PathInstance(tuple(snake_path(2, 2)), (0, 2), (0, 2))
+        p = PathInstance((0, 2), (0, 2))
         assert pf_on_path_step(p, 0) is None
         assert pf_on_path_step(p, 2) is None
 
     def test_ordered_assignment(self):
         # ranks pair up in path order: robot 0 -> target 1, robot 5 -> 4
-        p = PathInstance(tuple(snake_path(2, 3)), (0, 5), (1, 4))
+        p = PathInstance((0, 5), (1, 4))
         assert pf_on_path_step(p, 0) == 1
         assert pf_on_path_step(p, 5) == 4
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(AssertionError):
-            PathInstance(tuple(snake_path(2, 2)), (0, 1), (2,))
+            PathInstance((0, 1), (2,))
 
 
 # One frozen configuration per phase, each already in canonical position
@@ -165,8 +165,8 @@ class TestPhaseRules:
         assert plan.moves == {}
 
     def test_formed_up_to_isometry(self):
-        g = Isometry(rot=1, reflect=True, tx=-2, ty=9)
-        plan = plan_moves(apply_isometry(g, REF11), canonicalize_target(REF11))
+        g = Isometry(0, -1, -1, 0, tx=-2, ty=9)
+        plan = plan_moves(g.apply_set(REF11), canonicalize_target(REF11))
         assert plan.formed
 
     def test_single_robot_is_always_formed(self):
@@ -207,6 +207,19 @@ class TestPhaseRules:
         with pytest.raises(RuleViolation, match="interior target at the origin"):
             phase_moves(cf, evaluate_conditions(cf, target), "P4", bad)
 
+    @pytest.mark.parametrize("phase, moved, onto, match", [
+        # another robot on the cell above the head, or left of the tail
+        ("P6", (1, 0), (0, 1), r"phase 6 head blocked: \(0, 1\)"),
+        ("P7", (2, 3), (6, 2), r"phase 7 tail blocked: \(6, 2\)"),
+    ], ids=["P6", "P7"])
+    def test_blocked_head_or_tail_is_a_rule_violation(self, phase, moved,
+                                                      onto, match):
+        config, target, _ = PHASE_CASES[phase]
+        cf = (frozenset(config) - {moved}) | {onto}
+        cv = evaluate_conditions(cf, target)
+        with pytest.raises(RuleViolation, match=match):
+            phase_moves(cf, cv, phase, target)
+
     def test_moves_never_collide(self):
         for config, target, _ in PHASE_CASES.values():
             plan = plan_moves(config, target)
@@ -242,18 +255,18 @@ class TestPlanProperties:
 
         Collinear configurations are skipped: their Y-axis is undetermined
         and filled by a local convention that is not covariant."""
-        classes = [Isometry(r, refl) for r in range(4) for refl in (0, 1)]
         for _ in range(150):
             k = rng.randint(3, 8)
             c = random_asymmetric_config(k, 7, rng)
-            if canonical_frames(c)[0].y_dir is None:
+            r = bounding_rect(c)
+            if r.width_pts == 1 or r.height_pts == 1:
                 continue
             t = canonicalize_target(random_points(k, 5, rng))
             base = plan_moves(c, t)
-            lin = rng.choice(classes)
-            g = Isometry(lin.rot, lin.reflect,
-                         rng.randint(-6, 6), rng.randint(-6, 6))
-            img = plan_moves(apply_isometry(g, c), t)
+            g = dataclasses.replace(rng.choice(LINEAR_CLASSES),
+                                    tx=rng.randint(-6, 6),
+                                    ty=rng.randint(-6, 6))
+            img = plan_moves(g.apply_set(c), t)
             assert img.formed == base.formed
             assert img.moves == {
                 g.apply(src): g.apply(dst) for src, dst in base.moves.items()

@@ -1,22 +1,22 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridform.canonical import (
-    Frame,
-    _frame_key,
     brute_force_symmetries,
     canonical_frames,
     corner_strings,
     frame_string,
+    from_frame_coords,
     head_tail,
     is_asymmetric,
     to_frame_coords,
 )
-from gridform.geometry import Isometry, apply_isometry, bounding_rect
+from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 
 from conftest import REF11, REF11_HEAD, REF11_STRING, REF11_TAIL
 
@@ -24,11 +24,10 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
 )
 isometry_strategy = st.builds(
-    Isometry,
-    rot=st.integers(0, 3),
-    reflect=st.booleans(),
-    tx=st.integers(-3, 3),
-    ty=st.integers(-3, 3),
+    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    st.sampled_from(LINEAR_CLASSES),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
 )
 
 coord = st.integers(0, 40)
@@ -55,33 +54,40 @@ def wide_sparse_points(draw):
     return frozenset(forced) | extra
 
 
+def origin(f):
+    """The point a frame maps to (0, 0)."""
+    return f.inverse().apply((0, 0))
+
+
 def dense_reference_scans(c):
     """(frame_string, frame) for every frame that places ``c`` in the first
-    quadrant with its longer side along x: the corner scans, enumerated
-    from the dense strings alone."""
+    quadrant with its longer side along x: the 8 rotation/reflection
+    classes at each corner, kept by the dense strings alone. A line takes
+    the y row +y when it lies along x, else +x; a single point has the one
+    frame with x row +x."""
     c = frozenset(c)
-    if len(c) == 1:
-        f = Frame(next(iter(c)), (1, 0), None)
-        return [(frame_string(c, f), f)]
     r = bounding_rect(c)
-    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    if len(c) == 1:
+        f = Isometry(1, 0, 0, 1, -r.min[0], -r.min[1])
+        return [(frame_string(c, f), f)]
     collinear = r.width_pts == 1 or r.height_pts == 1
     corners = {(x, y) for x in (r.min[0], r.max[0])
                for y in (r.min[1], r.max[1])}
+    frames = set()
+    for ox, oy in corners:
+        for lin in LINEAR_CLASSES:
+            xa, xb = lin.a, lin.b
+            if collinear:
+                ya, yb = (0, 1) if xb == 0 else (1, 0)
+            else:
+                ya, yb = lin.c, lin.d
+            frames.add(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
+                                -(ya * ox + yb * oy)))
     scans = []
-    for origin in corners:
-        for x_dir in units:
-            for y_dir in [None] if collinear else units:
-                if y_dir is not None and (x_dir[0] * y_dir[0]
-                                          + x_dir[1] * y_dir[1]) != 0:
-                    continue
-                f = Frame(origin, x_dir, y_dir)
-                try:
-                    rf = bounding_rect(to_frame_coords(c, f))
-                except ValueError:  # undetermined Y off the line
-                    continue
-                if rf.min == (0, 0) and rf.width_pts >= rf.height_pts:
-                    scans.append((frame_string(c, f), f))
+    for f in frames:
+        rf = bounding_rect(to_frame_coords(c, f))
+        if rf.min == (0, 0) and rf.width_pts >= rf.height_pts:
+            scans.append((frame_string(c, f), f))
     return scans
 
 
@@ -149,7 +155,7 @@ class TestCornerStrings:
     @given(c=points_strategy, g=isometry_strategy)
     def test_string_multiset_is_isometry_invariant(self, c, g):
         ours = sorted(cs.bits for cs in corner_strings(c))
-        theirs = sorted(cs.bits for cs in corner_strings(apply_isometry(g, c)))
+        theirs = sorted(cs.bits for cs in corner_strings(g.apply_set(c)))
         assert ours == theirs
 
 
@@ -200,7 +206,7 @@ class TestBruteForceSymmetries:
         r = bounding_rect(c)
         degenerate = r.width_pts == 1 or r.height_pts == 1
         for g in brute_force_symmetries(c):
-            assert apply_isometry(g, c) == frozenset(c)
+            assert g.apply_set(c) == frozenset(c)
             if degenerate:
                 assert any(g.apply(p) != p for p in c)
 
@@ -208,16 +214,17 @@ class TestBruteForceSymmetries:
 class TestCanonicalFrames:
     def test_ref11_unique_frame(self):
         frames = canonical_frames(REF11)
-        assert frames == [Frame((0, 0), (1, 0), (0, 1))]
+        assert frames == [Isometry(1, 0, 0, 1)]
 
     def test_line_frame_undetermined_y(self):
+        # no Y-axis agreement on a line: the frame's y row is the local +y
         frames = canonical_frames(LINE_1101)
-        assert frames == [Frame((0, 0), (1, 0), None)]
+        assert frames == [Isometry(1, 0, 0, 1)]
 
     def test_symmetric_square_two_frames(self):
         frames = canonical_frames(TROMINO_2x2)
         assert len(frames) == 2
-        assert {f.origin for f in frames} == {(0, 1)}
+        assert {origin(f) for f in frames} == {(0, 1)}
 
     @settings(max_examples=100)
     @given(c=points_strategy)
@@ -242,7 +249,7 @@ class TestWideSparseRectangles:
         scans = dense_reference_scans(c)
         best = max(bits for bits, _ in scans)
         expected = sorted((f for bits, f in scans if bits == best),
-                          key=_frame_key)
+                          key=lambda f: (origin(f), (f.a, f.b)))
         assert canonical_frames(c) == expected
         assert (sorted(cs.bits for cs in corner_strings(c))
                 == sorted(bits for bits, _ in scans))
@@ -256,22 +263,29 @@ class TestWideSparseRectangles:
 class TestFrameCoords:
     def test_identity_position(self):
         c = frozenset({(0, 0), (0, 1), (1, 0)})
-        f = Frame((0, 0), (1, 0), (0, 1))
+        f = Isometry(1, 0, 0, 1)
         assert to_frame_coords(c, f) == c
 
     def test_translation(self):
         c = frozenset({(5, 5), (5, 6), (6, 5)})
-        f = Frame((5, 5), (1, 0), (0, 1))
+        f = Isometry(1, 0, 0, 1, -5, -5)
         assert to_frame_coords(c, f) == {(0, 0), (0, 1), (1, 0)}
 
     def test_reflected_line(self):
-        f = Frame((3, 0), (-1, 0), None)
+        f = Isometry(-1, 0, 0, 1, 3, 0)
         assert to_frame_coords(LINE_1101, f) == {(0, 0), (2, 0), (3, 0)}
 
-    def test_undetermined_y_requires_collinear(self):
-        f = Frame((0, 0), (1, 0), None)
-        with pytest.raises(ValueError, match="collinear"):
-            to_frame_coords({(0, 0), (1, 1)}, f)
+    def test_line_frame_carries_the_fallback_y_row(self):
+        cases = [
+            (LINE_1101, Isometry(1, 0, 0, 1)),  # horizontal: y row +y
+            ({(2, 0), (2, 1), (2, 3)}, Isometry(0, 1, 1, 0, 0, -2)),  # +x
+            ({(3, -2)}, Isometry(1, 0, 0, 1, -3, 2)),  # single point: +y
+        ]
+        for line, frame in cases:
+            assert canonical_frames(line) == [frame]
+            cf = to_frame_coords(line, frame)
+            assert {y for _, y in cf} == {0}
+            assert {from_frame_coords(q, frame) for q in cf} == set(line)
 
     @given(c=points_strategy)
     def test_canonical_coords_fill_first_quadrant_corner(self, c):
@@ -301,7 +315,7 @@ class TestHeadTail:
     def test_head_is_frame_covariant(self, c, g):
         if len(c) < 2 or not is_asymmetric(c):
             return
-        img = apply_isometry(g, c)
+        img = g.apply_set(c)
         h1, _ = head_tail(c, canonical_frames(c)[0])
         h2, _ = head_tail(img, canonical_frames(img)[0])
         assert g.apply(h1) == h2

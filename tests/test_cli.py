@@ -79,17 +79,12 @@ class TestConfigIO:
 
 class TestTraceIO:
     def test_round_trip(self):
-        out = run(REF11, canonicalize_target(LINE11),
-                  make_adversary("round_robin", 44))
-        buf = io.StringIO()
-        write_trace(out.trace, buf)
-        back = read_trace(buf.getvalue().splitlines())
-        assert len(back) == len(out.trace)
-        for a, b in zip(out.trace, back):
-            assert (a.index, a.robot, a.kind, a.pos_before) == \
-                   (b.index, b.robot, b.kind, b.pos_before)
-            assert a.pos_after == b.pos_after
-            assert a.phase == b.phase
+        for kind in scheduler.ADVERSARY_KINDS:
+            out = run(REF11, canonicalize_target(LINE11),
+                      make_adversary(kind, 44, seed=5))
+            buf = io.StringIO()
+            write_trace(out.trace, buf)
+            assert read_trace(buf.getvalue().splitlines()) == out.trace, kind
 
     def test_lines_are_json(self):
         buf = io.StringIO()
@@ -191,6 +186,24 @@ class TestAnalyzeCommand:
     def test_missing_file(self, capsys):
         rc = main(["analyze", "--config", "/nonexistent/x.txt"])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("points, frames", [
+        ("0 0\n1 0\n3 0\n",
+         ["frame: origin (0, 0) x_dir +x y_dir UNDETERMINED"]),
+        ("2 0\n2 1\n2 3\n",
+         ["frame: origin (2, 0) x_dir +y y_dir UNDETERMINED"]),
+        ("3 -2\n",
+         ["frame: origin (3, -2) x_dir +x y_dir UNDETERMINED"]),
+        ("0 0\n0 1\n1 1\n",  # the 2x2 L-tromino: two maximal strings
+         ["frame: origin (0, 1) x_dir -y y_dir +x",
+          "frame: origin (0, 1) x_dir +x y_dir -y"]),
+    ], ids=["horizontal", "vertical", "point", "tromino"])
+    def test_frame_lines(self, tmp_path, capsys, points, frames):
+        path = tmp_path / "c.txt"
+        path.write_text(points)
+        assert main(["analyze", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("frame:")] == frames
 
 
 class TestGenCommand:

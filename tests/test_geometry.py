@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from gridform.geometry import (
     IDENTITY,
     LINEAR_CLASSES,
     Isometry,
-    apply_isometry,
     bounding_rect,
     similar,
 )
@@ -18,11 +18,10 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6
 )
 isometry_strategy = st.builds(
-    Isometry,
-    rot=st.integers(0, 3),
-    reflect=st.booleans(),
-    tx=st.integers(-5, 5),
-    ty=st.integers(-5, 5),
+    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    st.sampled_from(LINEAR_CLASSES),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
 )
 
 
@@ -51,32 +50,43 @@ class TestBoundingRect:
 class TestIsometry:
     def test_identity(self):
         c = frozenset({(1, 2), (-3, 0)})
-        assert apply_isometry(IDENTITY, c) == c
+        assert IDENTITY.apply_set(c) == c
 
     def test_quarter_turn(self):
-        g = Isometry(rot=1)
-        assert apply_isometry(g, {(1, 0)}) == {(0, 1)}
+        g = Isometry(0, -1, 1, 0)
+        assert g.apply_set({(1, 0)}) == {(0, 1)}
+
+    def test_linear_classes_order_is_pinned(self):
+        """Adversaries draw robot frames from LINEAR_CLASSES by index, so
+        its order is part of every seeded run: rotations by 0-3 quarter
+        turns, then the same after the reflection x -> -x."""
+        images = [(g.apply((1, 0)), g.apply((0, 1))) for g in LINEAR_CLASSES]
+        assert images == [
+            ((1, 0), (0, 1)), ((0, 1), (-1, 0)),
+            ((-1, 0), (0, -1)), ((0, -1), (1, 0)),
+            ((-1, 0), (0, 1)), ((0, -1), (-1, 0)),
+            ((1, 0), (0, -1)), ((0, 1), (1, 0)),
+        ]
+        assert IDENTITY == LINEAR_CLASSES[0]
 
     def test_reflect_then_translate(self):
-        g = Isometry(reflect=True, tx=3)
-        assert apply_isometry(g, {(0, 0), (1, 0)}) == {(2, 0), (3, 0)}
+        g = Isometry(-1, 0, 0, 1, tx=3)
+        assert g.apply_set({(0, 0), (1, 0)}) == {(2, 0), (3, 0)}
 
     @given(g=isometry_strategy, c=points_strategy)
     def test_inverse_round_trips(self, g, c):
-        assert apply_isometry(g.inverse(), apply_isometry(g, c)) == c
+        assert g.inverse().apply_set(g.apply_set(c)) == c
 
     @given(g1=isometry_strategy, g2=isometry_strategy, c=points_strategy)
     def test_compose_matches_sequential_application(self, g1, g2, c):
-        assert apply_isometry(g1.compose(g2), c) == apply_isometry(
-            g1, apply_isometry(g2, c)
-        )
+        assert g1.compose(g2).apply_set(c) == g1.apply_set(g2.apply_set(c))
 
     @given(g=isometry_strategy, c=points_strategy)
     def test_bounding_rect_covariant(self, g, c):
-        img = apply_isometry(g, c)
+        img = g.apply_set(c)
         r = bounding_rect(c)
         corners = {r.min, r.max, (r.min[0], r.max[1]), (r.max[0], r.min[1])}
-        expected = bounding_rect(apply_isometry(g, corners))
+        expected = bounding_rect(g.apply_set(corners))
         assert bounding_rect(img) == expected
 
 
@@ -84,14 +94,14 @@ class TestSimilar:
     def test_identity_witness(self, ref11):
         g = similar(ref11, ref11)
         assert g is not None
-        assert apply_isometry(g, ref11) == ref11
+        assert g.apply_set(ref11) == ref11
 
     def test_rotated_tromino(self):
         a = frozenset({(0, 0), (0, 1), (1, 0)})
-        b = apply_isometry(Isometry(rot=1), a)
+        b = Isometry(0, -1, 1, 0).apply_set(a)
         g = similar(a, b)
         assert g is not None
-        assert apply_isometry(g, a) == b
+        assert g.apply_set(a) == b
 
     def test_distinct_shapes(self):
         a = frozenset({(0, 0), (1, 0), (2, 0)})
@@ -107,17 +117,17 @@ class TestSimilar:
 
     @given(c=points_strategy, g=isometry_strategy)
     def test_symmetric_with_witness_inverse(self, c, g):
-        b = apply_isometry(g, c)
+        b = g.apply_set(c)
         w = similar(c, b)
         assert w is not None
-        assert apply_isometry(w.inverse(), b) == c
+        assert w.inverse().apply_set(b) == c
 
     @given(a=points_strategy, g1=isometry_strategy, g2=isometry_strategy)
     def test_transitive_via_composition(self, a, g1, g2):
-        b = apply_isometry(g1, a)
-        c = apply_isometry(g2, b)
+        b = g1.apply_set(a)
+        c = g2.apply_set(b)
         w1, w2 = similar(a, b), similar(b, c)
-        assert apply_isometry(w2.compose(w1), a) == c
+        assert w2.compose(w1).apply_set(a) == c
 
     @settings(max_examples=50)
     @given(a=points_strategy, b=points_strategy)
@@ -127,15 +137,14 @@ class TestSimilar:
         found = None
         span = range(-10, 11)
         for lin in LINEAR_CLASSES:
-            img = apply_isometry(lin, a)
+            img = lin.apply_set(a)
             if len(img) != len(b):
                 continue
             # Any translation matching one point of b is a candidate.
             anchor = next(iter(img))
             for q in b:
-                g = Isometry(lin.rot, lin.reflect,
-                             q[0] - anchor[0], q[1] - anchor[1])
-                if apply_isometry(g, a) == b:
+                g = replace(lin, tx=q[0] - anchor[0], ty=q[1] - anchor[1])
+                if g.apply_set(a) == b:
                     found = g
                     break
             if found:

@@ -63,7 +63,7 @@ class TestAdversaries:
     def test_local_frames_drawn_from_the_eight_classes(self):
         frames = RandomAdversary(8, seed=1).robot_frames(50)
         assert {(f.tx, f.ty) for f in frames} == {(0, 0)}
-        assert len({(f.rot, f.reflect) for f in frames}) > 1
+        assert len(set(frames)) > 1
 
 
 class TestRun:

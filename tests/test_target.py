@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridform.geometry import Isometry, apply_isometry
+from gridform.geometry import LINEAR_CLASSES
 from gridform.target import canonicalize_target
 
 from conftest import REF11
@@ -13,11 +14,10 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
 )
 isometry_strategy = st.builds(
-    Isometry,
-    rot=st.integers(0, 3),
-    reflect=st.booleans(),
-    tx=st.integers(-4, 4),
-    ty=st.integers(-4, 4),
+    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    st.sampled_from(LINEAR_CLASSES),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
 )
 
 
@@ -62,7 +62,7 @@ def test_two_point_target_is_legal():
 @settings(max_examples=120)
 @given(raw=points_strategy, g=isometry_strategy)
 def test_canonical_form_is_isometry_invariant(raw, g):
-    assert canonicalize_target(raw) == canonicalize_target(apply_isometry(g, raw))
+    assert canonicalize_target(raw) == canonicalize_target(g.apply_set(raw))
 
 
 @given(raw=points_strategy)

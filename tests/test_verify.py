@@ -1,6 +1,6 @@
 import pytest
 
-from gridform.algorithm import PathInstance, snake_path
+from gridform.algorithm import PathInstance
 from gridform.scheduler import LOOK, MOVE, Event, make_adversary, run
 from gridform.target import canonicalize_target
 from gridform.verify import (
@@ -117,38 +117,37 @@ class TestPhaseTransitions:
 
 class TestPathOracle:
     def test_shift_by_three(self):
-        p = PathInstance(tuple(snake_path(2, 3)), (0, 1, 2), (3, 4, 5))
+        p = PathInstance((0, 1, 2), (3, 4, 5))
         res = oracle_pf_on_path(p)
         assert res.verdict.passed
         assert res.total_steps == 9
 
     def test_already_home(self):
-        p = PathInstance(tuple(snake_path(2, 2)), (0, 2), (0, 2))
+        p = PathInstance((0, 2), (0, 2))
         res = oracle_pf_on_path(p)
         assert res.verdict.passed
         assert res.total_steps == 0
 
     def test_crossing_assignments(self):
-        p = PathInstance(tuple(snake_path(2, 3)), (0, 5), (1, 4))
+        p = PathInstance((0, 5), (1, 4))
         res = oracle_pf_on_path(p)
         assert res.verdict.passed
         assert res.total_steps == 2
 
     def test_backward_block(self):
-        p = PathInstance(tuple(snake_path(2, 3)), (2, 3), (0, 1))
+        p = PathInstance((2, 3), (0, 1))
         res = oracle_pf_on_path(p)
         assert res.verdict.passed
         assert res.total_steps == 4
 
     def test_empty_instance(self):
-        p = PathInstance(tuple(snake_path(2, 2)), (), ())
+        p = PathInstance((), ())
         assert oracle_pf_on_path(p).total_steps == 0
 
     def test_large_instance_samples_orders(self):
-        cells = tuple(snake_path(3, 10))
         robots = tuple(range(6))
         targets = tuple(range(24, 30))
-        res = oracle_pf_on_path(PathInstance(cells, robots, targets))
+        res = oracle_pf_on_path(PathInstance(robots, targets))
         assert res.verdict.passed
         assert res.total_steps == 6 * 24
 
