@@ -98,19 +98,11 @@ def pf_on_path_step(p: PathInstance, self_index: int) -> Optional[int]:
     The i-th robot (by path order) heads for the i-th target and only steps
     onto an empty cell, which keeps the protocol collision- and swap-free.
     """
-    return _pf_step(p.robot_indices, p.target_indices, self_index)
-
-
-def _pf_step(robot_indices: tuple, target_indices: tuple,
-             self_index: int) -> Optional[int]:
-    rank = robot_indices.index(self_index)
-    goal = target_indices[rank]
+    goal = p.target_indices[p.robot_indices.index(self_index)]
     if self_index == goal:
         return None
     nxt = self_index + (1 if goal > self_index else -1)
-    if nxt in robot_indices:
-        return None
-    return nxt
+    return None if nxt in p.robot_indices else nxt
 
 
 def _sign(d: int) -> int:
@@ -147,28 +139,31 @@ def _phase3(cf, cv, t):
     return {tail: (tail[0], tail[1] + dy)}
 
 
+def _snake_indices(points: frozenset, m: int, n: int) -> list:
+    """Sorted ``snake_index`` of every point; a point off the path is a
+    RuleViolation."""
+    idx = sorted([x * m + (y if x % 2 == 0 else m - 1 - y)
+                  if 0 <= x < n and 0 <= y < m else -1 for x, y in points])
+    if idx and idx[0] < 0:
+        off = next(p for p in points if snake_index(p, m, n) is None)
+        raise RuleViolation(f"point off the phase 4 path: {off}")
+    return idx
+
+
 def _phase4(cf, cv, t):
-    head, tail = cv.head, cv.tail
     m, n = cv.m - 1, cv.n // 2
-
-    def indices(points):
-        out = []
-        for p in points:
-            i = snake_index(p, m, n)
-            if i is None:
-                raise RuleViolation(f"point off the phase 4 path: {p}")
-            out.append(i)
-        return tuple(sorted(out))
-
-    robot_idx = indices(cf - {head, tail})
-    target_idx = indices(t.c_double_prime)
-    if 0 in target_idx:
+    robot_idx = _snake_indices(cf - {cv.head, cv.tail}, m, n)
+    target_idx = _snake_indices(t.c_double_prime, m, n)
+    if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
+    # robots and targets pair up in path order (pf_on_path_step); a robot
+    # steps towards its target only onto a free cell
     moves = {}
-    for i in robot_idx:
-        nxt = _pf_step(robot_idx, target_idx, i)
-        if nxt is not None and snake_cell(nxt, m) not in cf:
-            moves[snake_cell(i, m)] = snake_cell(nxt, m)
+    for i, goal in zip(robot_idx, target_idx):
+        if i != goal:
+            dest = snake_cell(i + 1 if goal > i else i - 1, m)
+            if dest not in cf:
+                moves[snake_cell(i, m)] = dest
     return moves
 
 
@@ -239,46 +234,34 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     """The decision of the whole swarm for one configuration.
 
     Works in whatever coordinates ``points`` is given in; the result is
-    expressed in the same coordinates. Under a unique canonical frame the
-    phase rule applies directly; under several (a transient symmetric
-    configuration) a robot moves only if every frame names the same mover
-    and the same physical destination.
+    expressed in the same coordinates. All canonical frames map ``points``
+    onto the same image, so the conditions, the phase and the rule are
+    computed once. Under several frames (a transient symmetric
+    configuration) a robot moves only if every frame maps the rule's move
+    back to the same mover and the same physical destination.
     """
     points = frozenset(points)
     if len(points) == 1:
         return StepPlan(formed=True, phase="DONE")
     frames = canonical_frames(points)
-    images = [to_frame_coords(points, f) for f in frames]
-    if t.points in images:
+    cf = to_frame_coords(points, frames[0])
+    if cf == t.points:
         return StepPlan(formed=True, phase="DONE")
-
-    def frame_plan(f, cf):
+    try:
         cv = evaluate_conditions(cf, t)
         phase = classify_phase(cv)
         fm = phase_moves(cf, cv, phase, t)
-        moves = {
-            from_frame_coords(src, f): from_frame_coords(dst, f)
-            for src, dst in fm.items()
-        }
-        return phase, moves
-
+    except RuleViolation:
+        if len(frames) == 1:
+            raise
+        return StepPlan(formed=False, phase=None, stuck_symmetric=True)
+    mapped = [{from_frame_coords(src, f): from_frame_coords(dst, f)
+               for src, dst in fm.items()} for f in frames]
     if len(frames) == 1:
-        phase, moves = frame_plan(frames[0], images[0])
-        return StepPlan(formed=False, phase=phase, moves=moves)
-
-    plans = []
-    for f, cf in zip(frames, images):
-        try:
-            plans.append(frame_plan(f, cf))
-        except RuleViolation:
-            plans.append((None, {}))
-    first_phase = next((ph for ph, _ in plans if ph), None)
-    agreed = {
-        src: dst
-        for src, dst in plans[0][1].items()
-        if all(mv.get(src) == dst for _, mv in plans[1:])
-    }
-    return StepPlan(formed=False, phase=first_phase, moves=agreed,
+        return StepPlan(formed=False, phase=phase, moves=mapped[0])
+    agreed = {src: dst for src, dst in mapped[0].items()
+              if all(mv.get(src) == dst for mv in mapped[1:])}
+    return StepPlan(formed=False, phase=phase, moves=agreed,
                     stuck_symmetric=not agreed)
 
 

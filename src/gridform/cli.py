@@ -144,6 +144,9 @@ def cmd_run(args) -> int:
         )
     target = canonicalize_target(raw_target)
     fairness = args.fairness if args.fairness else 4 * len(config)
+    if fairness < 2 * len(config):
+        raise CliError(f"--fairness must be at least 2k = {2 * len(config)} "
+                       "(one full round)")
     adversary = scheduler.make_adversary(args.adversary, fairness, args.seed)
     t0 = time.perf_counter()
     outcome = scheduler.run(config, target, adversary, max_events=args.max_events)
@@ -220,14 +223,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _check_box(k: int, box: int):
+    if k > max(box, 0) ** 2:
+        raise CliError(f"--box {box} has fewer than k = {k} cells")
+
+
+def _asymmetric_config(k: int, box: int, rng: random.Random) -> frozenset:
+    try:
+        return random_asymmetric_config(k, box, rng)
+    except RuntimeError as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_gen(args) -> int:
     if args.k < 3:
         raise CliError("--k must be at least 3 (smaller swarms are symmetric)")
+    _check_box(args.k, args.box)
     rng = random.Random(args.seed)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
-        c = random_asymmetric_config(args.k, args.box, rng)
+        c = _asymmetric_config(args.k, args.box, rng)
         path = outdir / f"config_k{args.k}_s{args.seed}_{i:03d}.txt"
         path.write_text(f"# asymmetric, k={args.k}, box={args.box}\n"
                         + format_config(c))
@@ -238,13 +254,16 @@ def cmd_gen(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.k_min < 3:
         raise CliError("k range must start at 3 or above")
+    if args.k_min > args.k_max:
+        raise CliError(f"k range {args.k_range} is empty")
+    _check_box(args.k_max, args.box)
     rng = random.Random(args.seed)
     kinds = scheduler.ADVERSARY_KINDS
     failures = []
     results = []
     for i in range(args.runs):
         k = rng.randint(args.k_min, args.k_max)
-        config = random_asymmetric_config(k, args.box, rng)
+        config = _asymmetric_config(k, args.box, rng)
         target = canonicalize_target(random_points(k, args.box, rng))
         kind = kinds[i % len(kinds)]
         adversary = scheduler.make_adversary(kind, 4 * k, rng.randrange(2**32))

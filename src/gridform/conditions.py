@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .geometry import Point, bounding_rect
+from .geometry import Point
 from .target import TargetPattern
 
 @dataclass(frozen=True)
@@ -43,22 +42,23 @@ def has_horizontal_reflection(points: frozenset) -> bool:
     return all((x, axis2 - y) in points for x, y in points)
 
 
-def evaluate_conditions(c_frame: Iterable[Point], t: TargetPattern) -> ConditionVector:
+def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
     """Evaluate C0..C8 for a configuration expressed in canonical coordinates."""
-    cf = frozenset(c_frame)
     if len(cf) != len(t.points):
         raise ValueError(
             f"configuration has {len(cf)} robots but the target has {len(t.points)}"
         )
-    r = bounding_rect(cf)
-    n, m = r.width_pts, r.height_pts
     order = sorted(cf)  # scan order of the canonical string
     head, tail = order[0], order[-1]
+    # sorted by x, so the ends give the widths; C' is the order without the
+    # tail, so its y extent plus the tail's y gives both heights
+    ys = [p[1] for p in order[:-1]]
+    lo, hi = min(ys), max(ys)
+    n, H = tail[0] - head[0] + 1, order[-2][0] - head[0] + 1
+    m, V = max(hi, tail[1]) - min(lo, tail[1]) + 1, hi - lo + 1
     # c1 and c7: equal sizes (k-1, k-2), so a subset test is set equality
     c_prime = cf - {tail}
     dp = c_prime - {head}
-    rp = bounding_rect(c_prime)
-    H, V = rp.width_pts, rp.height_pts
     return ConditionVector(
         c0=cf == t.points,
         c1=c_prime <= t.points and t.t_target not in c_prime,

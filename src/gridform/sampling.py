@@ -6,7 +6,6 @@ import random
 from functools import lru_cache
 
 from .canonical import is_asymmetric
-from .geometry import Point
 
 
 @lru_cache(maxsize=None)

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algorithm import RuleViolation, plan_moves
 from .canonical import is_asymmetric
-from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point, bounding_rect
+from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point
 from .target import TargetPattern
 
 LOOK = "LOOK_COMPUTE"
 MOVE = "MOVE"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     index: int
     robot: int
     kind: str  # LOOK_COMPUTE | MOVE
@@ -32,16 +31,6 @@ class Event:
     pos_after: Optional[Point] = None  # MOVE only
     phase: Optional[str] = None        # LOOK only, diagnostic
     snapshot_index: Optional[int] = None  # MOVE only: when the decision was made
-
-
-@dataclass
-class RobotState:
-    id: int
-    pos: Point
-    frame: Isometry  # local orientation; local = frame(global)
-    stage: str = "IDLE"  # IDLE | COMPUTED
-    pending_dest: Optional[Point] = None  # global cell; None = stay
-    pending_since: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -128,13 +117,11 @@ class MaxStaleAdversary(Adversary):
 ADVERSARIES = {
     "random": RandomAdversary,
     "round_robin": RoundRobinAdversary,
-    "roundrobin": RoundRobinAdversary,
     "max_stale": MaxStaleAdversary,
-    "stale": MaxStaleAdversary,
 }
 
-#: One name per adversary class, in table order (the aliases left out).
-ADVERSARY_KINDS = tuple(cls.name for cls in dict.fromkeys(ADVERSARIES.values()))
+#: The adversary names, in table order (the ``fuzz`` rotation).
+ADVERSARY_KINDS = tuple(ADVERSARIES)
 
 
 def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
@@ -151,8 +138,9 @@ def _plan(plans: dict, positions: frozenset, frame: Isometry,
     collinear one has no covariant Y-axis (its canonical frame's y row is a
     local fallback), so it is planned in the robot's own frame under the key
     (positions, frame)."""
-    r = bounding_rect(positions)
-    if r.width_pts > 1 and r.height_pts > 1:
+    x0, y0 = next(iter(positions))
+    if (any(x != x0 for x, _ in positions)
+            and any(y != y0 for _, y in positions)):
         plans[positions] = plan = plan_moves(positions, target)
         return plan
     key = (positions, frame)
@@ -178,10 +166,10 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     if k >= 2 and not is_asymmetric(initial):
         return Outcome("FAULT", trace, 0, initial, fault="symmetric-input")
 
-    frames = adversary.robot_frames(k)
-    robots = [
-        RobotState(i, pos, frames[i]) for i, pos in enumerate(sorted(initial))
-    ]
+    frames = adversary.robot_frames(k)  # local = frame(global)
+    pos = sorted(initial)
+    pending = [None] * k  # global cell computed at the last Look; None = stay
+    since = [None] * k    # index of that Look
     positions = initial
     plans: dict = {}
 
@@ -193,44 +181,32 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         for rid, kind in adversary.round_order(k):
             if index >= max_events:
                 return Outcome("LIMIT_EXCEEDED", trace, index, positions)
-            rob = robots[rid]
+            here = pos[rid]
             if kind == LOOK:
                 plan = plans.get(positions)
                 if plan is None:
                     try:
-                        plan = _plan(plans, positions, rob.frame, target)
+                        plan = _plan(plans, positions, frames[rid], target)
                     except RuleViolation as exc:
                         return Outcome("FAULT", trace, index, positions,
                                        fault="internal", detail=str(exc))
-                rob.pending_dest = plan.moves.get(rob.pos)
-                rob.stage = "COMPUTED"
-                rob.pending_since = index
+                pending[rid] = plan.moves.get(here)
+                since[rid] = index
                 all_formed = all_formed and plan.formed
                 any_stuck = any_stuck or plan.stuck_symmetric
-                trace.append(Event(index, rid, LOOK, rob.pos, phase=plan.phase))
+                trace.append(Event(index, rid, LOOK, here, None, plan.phase))
             else:
-                assert rob.stage == "COMPUTED"
-                dest = rob.pending_dest
-                snap = rob.pending_since
-                rob.stage = "IDLE"
-                rob.pending_dest = None
-                rob.pending_since = None
+                dest, pending[rid] = pending[rid], None
+                trace.append(Event(index, rid, MOVE, here,
+                                   here if dest is None else dest, None,
+                                   since[rid]))
                 if dest is not None:
-                    trace.append(
-                        Event(index, rid, MOVE, rob.pos, pos_after=dest,
-                              snapshot_index=snap)
-                    )
-                    if dest != rob.pos and dest in positions:
+                    if dest != here and dest in positions:
                         return Outcome("FAULT", trace, index + 1, positions,
                                        fault="collision")
-                    positions = (positions - {rob.pos}) | {dest}
-                    rob.pos = dest
+                    positions = (positions - {here}) | {dest}
+                    pos[rid] = dest
                     moved = True
-                else:
-                    trace.append(
-                        Event(index, rid, MOVE, rob.pos, pos_after=rob.pos,
-                              snapshot_index=snap)
-                    )
             index += 1
         if not moved:
             if all_formed:

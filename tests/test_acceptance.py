@@ -5,7 +5,6 @@ single PASS line on success (visible with ``pytest -s`` or on failure).
 """
 
 import itertools
-import json
 import random
 from dataclasses import replace
 

@@ -1,8 +1,9 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gridform.algorithm import (
@@ -17,7 +18,7 @@ from gridform.algorithm import (
     snake_index,
     snake_path,
 )
-from gridform.canonical import is_asymmetric
+from gridform.canonical import canonical_frames, is_asymmetric
 from gridform.conditions import evaluate_conditions
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
@@ -292,3 +293,80 @@ class TestPlanProperties:
             t = canonicalize_target(random_points(k, 5, rng))
             for src, dst in plan_moves(c, t).moves.items():
                 assert abs(src[0] - dst[0]) + abs(src[1] - dst[1]) == 1
+
+
+def pinned_cases(n, seed):
+    """Seeded (configuration, target) pairs: random sets, phase 4 shapes
+    (head at the origin, interior on the snake path, tail far right),
+    near-target sets (later phases), horizontal and vertical lines, and
+    orbits under a linear class (symmetric, usually with several canonical
+    frames). One target in four gets a wrong head, tail or size, which
+    drives the rules into the RuleViolation cases the analysis excludes."""
+    rng = random.Random(seed)
+    for i in range(n):
+        shape = ("random", "snake", "near", "near", "row", "column",
+                 "orbit", "orbit")[i % 8]
+        k = rng.randint(2, 9)
+        t = canonicalize_target(random_points(k, rng.randint(3, 6), rng))
+        if shape == "random":
+            c = random_points(k, rng.randint(3, 7), rng)
+        elif shape == "snake":
+            m = t.M + 1 + rng.randint(0, 1)
+            n = 2 * t.N + rng.randint(0, 3)
+            cells = [(x, y) for x in range(n // 2) for y in range(m - 1)]
+            c = frozenset(rng.sample(cells[1:], k - 2)) | {
+                (0, 0), (n - 1, m - 1)}
+        elif shape == "near":
+            pts = set(t.points)
+            for p in rng.sample(sorted(t.points), rng.randint(1, 2)):
+                q = (p[0] + rng.randint(-2, 2), p[1] + rng.randint(-2, 2))
+                if q not in pts:
+                    pts.remove(p)
+                    pts.add(q)
+            c = frozenset(pts)
+        elif shape in ("row", "column"):
+            along = rng.sample(range(12), k)
+            c = frozenset((a, 3) if shape == "row" else (3, a) for a in along)
+        else:
+            g = rng.choice(LINEAR_CLASSES)
+            c = orbit = random_points(rng.randint(1, 4), 4, rng)
+            while not g.apply_set(orbit) <= c:
+                orbit = g.apply_set(orbit)
+                c |= orbit
+            t = canonicalize_target(random_points(len(c), 6, rng))
+        if rng.random() < 0.25:
+            pts = sorted(t.points)
+            t = dataclasses.replace(
+                t, M=rng.randint(1, t.M), N=rng.randint(1, t.N),
+                h_target=rng.choice(pts), t_target=rng.choice(pts))
+        yield c, t
+
+
+class TestPlanPin:
+    """A pin on the planner's output: any change to a phase, a move, the
+    symmetric agreement or a RuleViolation message changes the digest,
+    even when every run still forms its target."""
+
+    DIGEST = "90c4e9a23dfe4f9c"
+
+    def test_plans_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        counts = dict.fromkeys(("multi_frame", "row", "column", "stuck",
+                                "violation"), 0)
+        for c, t in pinned_cases(5000, 20260823):
+            try:
+                p = plan_moves(c, t)
+                rec = (p.formed, p.phase, sorted(p.moves.items()),
+                       p.stuck_symmetric)
+                counts["stuck"] += p.stuck_symmetric
+            except RuleViolation as exc:
+                rec = ("RuleViolation", str(exc))
+                counts["violation"] += 1
+            h.update(repr((sorted(c), rec)).encode())
+            if len(c) > 1:
+                counts["multi_frame"] += len(canonical_frames(c)) > 1
+                counts["row"] += len({y for _, y in c}) == 1
+                counts["column"] += len({x for x, _ in c}) == 1
+        assert counts == {"multi_frame": 1887, "row": 722, "column": 717,
+                          "stuck": 1756, "violation": 88}
+        assert h.hexdigest()[:16] == self.DIGEST

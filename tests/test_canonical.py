@@ -1,5 +1,3 @@
-import itertools
-import random
 from dataclasses import replace
 
 import pytest
@@ -52,6 +50,20 @@ def wide_sparse_points(draw):
               (draw(edge), 0), (draw(edge), side)}
     extra = draw(st.frozensets(st.tuples(edge, edge), max_size=8 - len(forced)))
     return frozenset(forced) | extra
+
+
+@st.composite
+def symmetric_points(draw):
+    """The orbit of a small set under a linear class: symmetric, so it
+    usually has several canonical frames."""
+    g = draw(st.sampled_from(LINEAR_CLASSES))
+    c = draw(st.frozensets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=1, max_size=4))
+    orbit, img = set(c), g.apply_set(c)
+    while not img <= orbit:
+        orbit |= img
+        img = g.apply_set(img)
+    return frozenset(orbit)
 
 
 def origin(f):
@@ -237,6 +249,14 @@ class TestCanonicalFrames:
         best = max(cs.bits for cs in corner_strings(c))
         for f in canonical_frames(c):
             assert frame_string(c, f) == best
+
+    @settings(max_examples=300)
+    @given(c=st.one_of(points_strategy, wide_sparse_points(),
+                       symmetric_points()))
+    def test_every_frame_gives_the_same_image(self, c):
+        # plan_moves computes the conditions and the rule on one image
+        images = {to_frame_coords(c, f) for f in canonical_frames(c)}
+        assert len(images) == 1
 
 
 class TestWideSparseRectangles:

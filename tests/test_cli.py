@@ -156,6 +156,18 @@ class TestRunCommand:
                        "--adversary", kind, "--max-events", "2"])
             assert rc == EXIT_LIMIT
 
+    @pytest.mark.parametrize("fairness", ["3", "1"])
+    def test_fairness_below_one_round_usage_error(self, tmp_path, fairness,
+                                                  capsys):
+        config, target = tmp_path / "c.txt", tmp_path / "t.txt"
+        config.write_text("0 0\n1 0\n0 2\n")
+        target.write_text("0 0\n1 0\n2 0\n")
+        rc = main(["run", "--config", str(config), "--target", str(target),
+                   "--fairness", fairness])
+        assert rc == EXIT_USAGE
+        assert "error: --fairness must be at least 2k = 6" in (
+            capsys.readouterr().err)
+
     def test_size_mismatch_usage_error(self, ref11_file, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("0 0\n")
@@ -223,6 +235,20 @@ class TestGenCommand:
     def test_k_below_three_rejected(self, capsys):
         assert main(["gen", "--k", "2"]) == EXIT_USAGE
 
+    def test_box_too_small_usage_error(self, tmp_path, capsys):
+        rc = main(["gen", "--k", "30", "--box", "4", "--out-dir",
+                   str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error: --box 4 has fewer than k = 30 cells" in (
+            capsys.readouterr().err)
+
+    def test_no_asymmetric_configuration_usage_error(self, tmp_path, capsys):
+        # the only 9 cells of a 3x3 box form a symmetric square
+        rc = main(["gen", "--k", "9", "--box", "3", "--out-dir",
+                   str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error: no asymmetric 9-point set" in capsys.readouterr().err
+
 
 class TestFuzzCommand:
     def test_small_batch_all_formed(self, capsys):
@@ -245,6 +271,16 @@ class TestFuzzCommand:
 
     def test_bad_range_usage_error(self, capsys):
         assert main(["fuzz", "--runs", "1", "--k-range", "oops"]) == EXIT_USAGE
+
+    def test_empty_range_usage_error(self, capsys):
+        assert main(["fuzz", "--runs", "1", "--k-range", "5..3"]) == EXIT_USAGE
+        assert "error: k range 5..3 is empty" in capsys.readouterr().err
+
+    def test_box_too_small_usage_error(self, capsys):
+        rc = main(["fuzz", "--runs", "1", "--k-range", "3..30", "--box", "4"])
+        assert rc == EXIT_USAGE
+        assert "error: --box 4 has fewer than k = 30 cells" in (
+            capsys.readouterr().err)
 
 
 class TestUsage:

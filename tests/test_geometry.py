@@ -1,5 +1,3 @@
-import itertools
-import random
 from dataclasses import replace
 
 import pytest
