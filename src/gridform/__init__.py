@@ -1,14 +1,8 @@
 """Pattern formation for anonymous oblivious robots on the infinite grid."""
 
 from .algorithm import (
-    MoveDecision,
-    PathInstance,
-    Snapshot,
     StepPlan,
-    compute,
-    pf_on_path_step,
     plan_moves,
-    snake_path,
 )
 from .canonical import (
     CornerString,
@@ -30,12 +24,9 @@ __all__ = [
     "CornerString",
     "Event",
     "Isometry",
-    "MoveDecision",
     "Outcome",
-    "PathInstance",
     "Point",
     "Rect",
-    "Snapshot",
     "StepPlan",
     "TargetPattern",
     "bounding_rect",
@@ -43,16 +34,13 @@ __all__ = [
     "canonical_frames",
     "canonicalize_target",
     "classify_phase",
-    "compute",
     "corner_strings",
     "evaluate_conditions",
     "head_tail",
     "is_asymmetric",
     "make_adversary",
-    "pf_on_path_step",
     "plan_moves",
     "run",
     "similar",
-    "snake_path",
     "to_frame_coords",
 ]

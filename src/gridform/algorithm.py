@@ -26,26 +26,6 @@ class RuleViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    points: frozenset
-    self_pos: Point
-
-
-@dataclass(frozen=True)
-class MoveDecision:
-    """STAY (direction None) or a unit STEP in the snapshot's coordinates."""
-
-    direction: Optional[Point] = None
-    stuck_symmetric: bool = False
-    phase: Optional[str] = None  # of the plan the step was read from
-    formed: bool = False
-
-    @property
-    def is_stay(self) -> bool:
-        return self.direction is None
-
-
-@dataclass(frozen=True)
 class StepPlan:
     """Global view of one decision round: which robots move where.
 
@@ -59,21 +39,9 @@ class StepPlan:
     stuck_symmetric: bool = False
 
 
-@dataclass(frozen=True)
-class PathInstance:
-    """Robots and targets as positions along a fixed grid path."""
-
-    robot_indices: tuple
-    target_indices: tuple
-
-    def __post_init__(self):
-        assert len(self.robot_indices) == len(self.target_indices)
-        assert list(self.robot_indices) == sorted(set(self.robot_indices))
-        assert list(self.target_indices) == sorted(set(self.target_indices))
-
-
 def snake_index(p: Point, m: int, n: int) -> Optional[int]:
-    """Position of ``p`` along ``snake_path(m, n)``, or None off the path."""
+    """Position of ``p`` along the snake path over [0, n-1] x [0, m-1]
+    (up column 0 first), or None off the path."""
     x, y = p
     if not (0 <= x < n and 0 <= y < m):
         return None
@@ -86,23 +54,21 @@ def snake_cell(i: int, m: int) -> Point:
     return (x, r if x % 2 == 0 else m - 1 - r)
 
 
-def snake_path(m: int, n: int) -> list[Point]:
-    """Boustrophedon path over [0, n-1] x [0, m-1], starting at the origin
-    and running up column 0 first."""
-    return [snake_cell(i, m) for i in range(m * n)]
+def pf_on_path_moves(robot_idx, target_idx) -> dict:
+    """Phase 4's path protocol on path indices: ``{index: next index}``.
 
-
-def pf_on_path_step(p: PathInstance, self_index: int) -> Optional[int]:
-    """Next path index for the robot at ``self_index``, or None to stay.
-
-    The i-th robot (by path order) heads for the i-th target and only steps
-    onto an empty cell, which keeps the protocol collision- and swap-free.
+    Both index lists are sorted. The i-th robot (by path order) heads for
+    the i-th target and only steps onto a free index, which keeps the
+    protocol collision- and swap-free.
     """
-    goal = p.target_indices[p.robot_indices.index(self_index)]
-    if self_index == goal:
-        return None
-    nxt = self_index + (1 if goal > self_index else -1)
-    return None if nxt in p.robot_indices else nxt
+    occupied = set(robot_idx)
+    moves = {}
+    for i, goal in zip(robot_idx, target_idx):
+        if i != goal:
+            nxt = i + 1 if goal > i else i - 1
+            if nxt not in occupied:
+                moves[i] = nxt
+    return moves
 
 
 def _sign(d: int) -> int:
@@ -156,15 +122,10 @@ def _phase4(cf, cv, t):
     target_idx = _snake_indices(t.c_double_prime, m, n)
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
-    # robots and targets pair up in path order (pf_on_path_step); a robot
-    # steps towards its target only onto a free cell
-    moves = {}
-    for i, goal in zip(robot_idx, target_idx):
-        if i != goal:
-            dest = snake_cell(i + 1 if goal > i else i - 1, m)
-            if dest not in cf:
-                moves[snake_cell(i, m)] = dest
-    return moves
+    # the head holds index 0, which no interior target uses, and the tail is
+    # off the path, so a free index is a free cell
+    return {snake_cell(i, m): snake_cell(j, m)
+            for i, j in pf_on_path_moves(robot_idx, target_idx).items()}
 
 
 def _phase5(cf, cv, t):
@@ -236,7 +197,7 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     Works in whatever coordinates ``points`` is given in; the result is
     expressed in the same coordinates. All canonical frames map ``points``
     onto the same image, so the conditions, the phase and the rule are
-    computed once. Under several frames (a transient symmetric
+    evaluated once. Under several frames (a transient symmetric
     configuration) a robot moves only if every frame maps the rule's move
     back to the same mover and the same physical destination.
     """
@@ -264,13 +225,3 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     return StepPlan(formed=False, phase=phase, moves=agreed,
                     stuck_symmetric=not agreed)
 
-
-def compute(s: Snapshot, t: TargetPattern) -> MoveDecision:
-    """Look-Compute step of a single robot: its entry in ``plan_moves``."""
-    if s.self_pos not in s.points:
-        raise ValueError("snapshot does not contain the observing robot")
-    plan = plan_moves(s.points, t)
-    dest = plan.moves.get(s.self_pos)
-    step = None if dest is None else (dest[0] - s.self_pos[0],
-                                      dest[1] - s.self_pos[1])
-    return MoveDecision(step, plan.stuck_symmetric, plan.phase, plan.formed)

@@ -213,7 +213,8 @@ def cmd_analyze(args) -> int:
             cv = evaluate_conditions(cf, target)
             for i in range(9):
                 print(f"C{i}: {getattr(cv, f'c{i}')}")
-            print(f"m={cv.m} n={cv.n} M={cv.M} N={cv.N} H={cv.H} V={cv.V}")
+            print(f"m={cv.m} n={cv.n} M={target.M} N={target.N} "
+                  f"H={cv.H} V={cv.V}")
             print(f"phase: {classify_phase(cv)}")
         else:
             print("phase: n/a (symmetric configuration)")

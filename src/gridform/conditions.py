@@ -20,8 +20,6 @@ class ConditionVector:
     c8: bool
     m: int
     n: int
-    M: int
-    N: int
     H: int
     V: int
     head: Point
@@ -71,8 +69,6 @@ def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
         c8=has_horizontal_reflection(c_prime),
         m=m,
         n=n,
-        M=t.M,
-        N=t.N,
         H=H,
         V=V,
         head=head,

@@ -37,16 +37,6 @@ class Isometry:
         return frozenset([(a * x + b * y + tx, c * x + d * y + ty)
                           for x, y in points])
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Return self ∘ other (other applied first)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return Isometry(
-            a * other.a + b * other.c, a * other.b + b * other.d,
-            c * other.a + d * other.c, c * other.b + d * other.d,
-            a * other.tx + b * other.ty + self.tx,
-            c * other.tx + d * other.ty + self.ty,
-        )
-
     def inverse(self) -> "Isometry":
         a, b, c, d = self.a, self.b, self.c, self.d
         # Orthogonal integer matrix: inverse is the transpose.

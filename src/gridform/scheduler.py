@@ -46,13 +46,10 @@ class Outcome:
 class Adversary:
     """Base adversary: per-robot local frames plus a per-round event order."""
 
-    name = "base"
-
     def __init__(self, fairness_window: int, seed: int = 0):
         if fairness_window < 2:
             raise ValueError("fairness window must be at least 2")
         self.fairness_window = fairness_window
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def robot_frames(self, k: int) -> list[Isometry]:
@@ -65,8 +62,6 @@ class Adversary:
 class RoundRobinAdversary(Adversary):
     """Synchronous-like: L0 M0 L1 M1 ... each round."""
 
-    name = "round_robin"
-
     def round_order(self, k):
         order = []
         for r in range(k):
@@ -78,8 +73,6 @@ class RoundRobinAdversary(Adversary):
 class RandomAdversary(Adversary):
     """Uniform interleaving: Looks and Moves shuffled, Look-before-Move
     per robot preserved."""
-
-    name = "random"
 
     def robot_frames(self, k):
         return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
@@ -100,8 +93,6 @@ class RandomAdversary(Adversary):
 
 class MaxStaleAdversary(Adversary):
     """All Looks first, then all Moves: every decision is maximally stale."""
-
-    name = "max_stale"
 
     def robot_frames(self, k):
         return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
@@ -168,7 +159,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
 
     frames = adversary.robot_frames(k)  # local = frame(global)
     pos = sorted(initial)
-    pending = [None] * k  # global cell computed at the last Look; None = stay
+    pending = [None] * k  # global cell chosen at the last Look; None = stay
     since = [None] * k    # index of that Look
     positions = initial
     plans: dict = {}

@@ -7,8 +7,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .algorithm import PathInstance, pf_on_path_step
-from .canonical import brute_force_symmetries, is_asymmetric
+from .algorithm import pf_on_path_moves
 from .geometry import Point, similar
 from .scheduler import Event, LOOK, MOVE
 from .target import TargetPattern
@@ -107,16 +106,18 @@ class PathOracleResult:
     verdict: Verdict
 
 
-def oracle_pf_on_path(p: PathInstance, max_orders: int = 6,
+def oracle_pf_on_path(robots: tuple, targets: tuple, max_orders: int = 6,
                       rng: Optional[random.Random] = None) -> PathOracleResult:
-    """Sequentially simulate the path protocol under several activation
-    orders; every robot must reach its target with no deadlock, no swaps,
-    and exactly the sum of index distances in executed steps."""
+    """Sequentially simulate phase 4's path protocol (``pf_on_path_moves``)
+    under several activation orders; every robot must reach its target with
+    no collision, no deadlock, no swaps, and exactly the sum of index
+    distances in executed steps."""
+    assert len(robots) == len(targets)
+    assert list(robots) == sorted(set(robots))
+    assert list(targets) == sorted(set(targets))
     v = Verdict()
-    k = len(p.robot_indices)
-    expected = sum(
-        abs(r - t) for r, t in zip(p.robot_indices, p.target_indices)
-    )
+    k = len(robots)
+    expected = sum(abs(r - t) for r, t in zip(robots, targets))
     if k == 0:
         return PathOracleResult(0, v)
     if k <= 3:
@@ -126,17 +127,20 @@ def oracle_pf_on_path(p: PathInstance, max_orders: int = 6,
         orders = [tuple(rng.sample(range(k), k)) for _ in range(max_orders)]
     total = expected
     for order in orders:
-        positions = list(p.robot_indices)
+        positions = list(robots)
         steps = 0
-        while positions != list(p.target_indices):
+        while positions != list(targets):
             progressed = False
             for i in order:
-                inst = PathInstance(tuple(sorted(positions)), p.target_indices)
-                nxt = pf_on_path_step(inst, positions[i])
+                nxt = pf_on_path_moves(positions, targets).get(positions[i])
                 if nxt is not None:
                     positions[i] = nxt
                     steps += 1
                     progressed = True
+                if len(set(positions)) != k:
+                    v.flag(steps, "collision",
+                           f"order {order}: two robots share an index")
+                    return PathOracleResult(steps, v)
                 if sorted(positions) != positions:
                     v.flag(steps, "swap", f"order {order}: robots crossed")
                     return PathOracleResult(steps, v)
@@ -150,14 +154,3 @@ def oracle_pf_on_path(p: PathInstance, max_orders: int = 6,
                    f"order {order}: {steps} steps, expected {expected}")
         total = steps
     return PathOracleResult(total, v)
-
-
-def cross_check_asymmetry(c: Iterable[Point]) -> Verdict:
-    """String-based asymmetry must agree with the brute-force oracle."""
-    v = Verdict()
-    by_strings = is_asymmetric(c)
-    by_brute_force = not brute_force_symmetries(c)
-    if by_strings != by_brute_force:
-        v.flag(-1, "asymmetry",
-               f"strings say {by_strings}, brute force says {by_brute_force}")
-    return v

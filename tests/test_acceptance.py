@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridform.algorithm import PathInstance, plan_moves
+from gridform.algorithm import plan_moves
 from gridform.canonical import (
     brute_force_symmetries,
     canonical_frames,
@@ -78,7 +78,7 @@ def test_criterion_2_path_protocol_oracle():
         k = rng.randint(1, min(6, n_cells))
         robots = tuple(sorted(rng.sample(range(n_cells), k)))
         targets = tuple(sorted(rng.sample(range(n_cells), k)))
-        res = oracle_pf_on_path(PathInstance(robots, targets), rng=rng)
+        res = oracle_pf_on_path(robots, targets, rng=rng)
         assert res.verdict.passed, (robots, targets, res.verdict.violations)
         assert res.total_steps == sum(
             abs(r - t) for r, t in zip(robots, targets)
@@ -142,6 +142,8 @@ def _harvest_phase_states(wanted, per_phase, seed):
             if cv.c0:
                 break
             phase = classify_phase(cv)
+            if phase in ("P4", "P5", "P6", "P7") and full("P4"):
+                break  # by verify.PHASE_EDGES no P1-P3 state can follow
             key = phase if not (phase == "P3" and cv.c8) else None
             if key in wanted and not full(key):
                 pools[key].append((cf, t))

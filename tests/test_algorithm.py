@@ -7,24 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridform.algorithm import (
-    PathInstance,
     RuleViolation,
-    Snapshot,
-    compute,
-    pf_on_path_step,
+    pf_on_path_moves,
     phase_moves,
     plan_moves,
     snake_cell,
     snake_index,
-    snake_path,
 )
 from gridform.canonical import canonical_frames, is_asymmetric
 from gridform.conditions import evaluate_conditions
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.target import canonicalize_target
+from gridform.verify import oracle_pf_on_path
 
 from conftest import REF11, REF11_TAIL, LINE11
+
+
+def snake_path(m, n):
+    return [snake_cell(i, m) for i in range(m * n)]
 
 
 class TestSnakePath:
@@ -72,30 +73,22 @@ class TestSnakePath:
 
 class TestPFonPath:
     def test_only_the_lead_robot_moves(self):
-        p = PathInstance((0, 1, 2), (3, 4, 5))
-        assert pf_on_path_step(p, 0) is None  # blocked by the robot at 1
-        assert pf_on_path_step(p, 1) is None
-        assert pf_on_path_step(p, 2) == 3
+        # the robot at 0 is blocked by the robot at 1, which is blocked too
+        assert pf_on_path_moves((0, 1, 2), (3, 4, 5)) == {2: 3}
 
     def test_backward_movement(self):
-        p = PathInstance((3, 4, 5), (0, 1, 2))
-        assert pf_on_path_step(p, 3) == 2
-        assert pf_on_path_step(p, 4) is None
+        assert pf_on_path_moves((3, 4, 5), (0, 1, 2)) == {3: 2}
 
     def test_robot_at_its_target_stays(self):
-        p = PathInstance((0, 2), (0, 2))
-        assert pf_on_path_step(p, 0) is None
-        assert pf_on_path_step(p, 2) is None
+        assert pf_on_path_moves((0, 2), (0, 2)) == {}
 
     def test_ordered_assignment(self):
         # ranks pair up in path order: robot 0 -> target 1, robot 5 -> 4
-        p = PathInstance((0, 5), (1, 4))
-        assert pf_on_path_step(p, 0) == 1
-        assert pf_on_path_step(p, 5) == 4
+        assert pf_on_path_moves((0, 5), (1, 4)) == {0: 1, 5: 4}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(AssertionError):
-            PathInstance((0, 1), (2,))
+            oracle_pf_on_path((0, 1), (2,))
 
 
 # One frozen configuration per phase, each already in canonical position
@@ -173,6 +166,12 @@ class TestPhaseRules:
     def test_single_robot_is_always_formed(self):
         assert plan_moves({(3, 7)}, canonicalize_target({(0, 0)})).formed
 
+    def test_symmetric_configuration_reports_stuck(self):
+        target = canonicalize_target({(0, 0), (3, 0)})
+        plan = plan_moves({(0, 0), (1, 0)}, target)
+        assert plan.stuck_symmetric
+        assert plan.moves == {}
+
     @pytest.mark.parametrize("phase", ["P1", "P2", "P3", "P5", "P6", "P7"])
     def test_exactly_one_mover_outside_phase4(self, phase):
         config, target, _ = PHASE_CASES[phase]
@@ -227,27 +226,6 @@ class TestPhaseRules:
             dests = list(plan.moves.values())
             assert len(dests) == len(set(dests))
             assert not set(dests) & (set(config) - set(plan.moves))
-
-
-class TestCompute:
-    def test_ref11_tail_steps_right(self):
-        d = compute(Snapshot(REF11, REF11_TAIL), LINE_TARGET)
-        assert d.direction == (1, 0)
-        assert not d.stuck_symmetric
-
-    def test_ref11_bystander_stays(self):
-        d = compute(Snapshot(REF11, (0, 1)), LINE_TARGET)
-        assert d.is_stay
-
-    def test_observer_must_be_present(self):
-        with pytest.raises(ValueError):
-            compute(Snapshot(REF11, (4, 4)), LINE_TARGET)
-
-    def test_symmetric_snapshot_reports_stuck(self):
-        pts = frozenset({(0, 0), (1, 0)})
-        d = compute(Snapshot(pts, (0, 0)), canonicalize_target({(0, 0), (3, 0)}))
-        assert d.is_stay
-        assert d.stuck_symmetric
 
 
 class TestPlanProperties:

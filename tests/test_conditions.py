@@ -16,7 +16,7 @@ from conftest import REF11, LINE11
 
 def vector(**bits):
     fields = {f"c{i}": bits.get(f"c{i}", False) for i in range(9)}
-    return ConditionVector(**fields, m=1, n=1, M=1, N=1, H=1, V=1,
+    return ConditionVector(**fields, m=1, n=1, H=1, V=1,
                            head=(0, 0), tail=(0, 0))
 
 
@@ -35,8 +35,9 @@ PREDICATES = {
 
 class TestEvaluate:
     def test_ref11_against_line_target(self):
-        cv = evaluate_conditions(REF11, canonicalize_target(LINE11))
-        assert (cv.m, cv.n, cv.M, cv.N, cv.H, cv.V) == (6, 8, 1, 11, 7, 6)
+        t = canonicalize_target(LINE11)
+        cv = evaluate_conditions(REF11, t)
+        assert (cv.m, cv.n, t.M, t.N, cv.H, cv.V) == (6, 8, 1, 11, 7, 6)
         assert cv.c3 and not cv.c4
         assert not cv.c1 and not cv.c2 and not cv.c5
         assert not cv.c6 and not cv.c7 and not cv.c8

@@ -1,5 +1,5 @@
 """``scheduler.run`` against a reference loop that decides every Look in the
-robot's own frame through ``compute()``, with no plan cache.
+robot's own frame through ``plan_moves``, with no plan cache.
 
 ``run`` plans once per global configuration and reads each robot's
 destination off that plan; it keeps per-frame plans only for collinear
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from gridform.algorithm import RuleViolation, Snapshot, compute
+from gridform.algorithm import RuleViolation, plan_moves
 from gridform.canonical import is_asymmetric
 from gridform.geometry import bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
@@ -23,9 +23,9 @@ ADVERSARIES = ("random", "round_robin", "max_stale")
 
 
 def reference_run(initial, target, adversary, max_events=100_000):
-    """The ASYNC loop of ``scheduler.run``, with each Look computed by
-    ``compute()`` on the robot's local snapshot and the step mapped back
-    through the inverse of its frame."""
+    """The ASYNC loop of ``scheduler.run``, with each Look planned by
+    ``plan_moves`` on the robot's local snapshot and the destination mapped
+    back through the inverse of its frame."""
     initial = frozenset(initial)
     k = len(initial)
     trace = []
@@ -46,17 +46,18 @@ def reference_run(initial, target, adversary, max_events=100_000):
                 frame = frames[rid]
                 here = frame.apply(pos[rid])
                 try:
-                    d = compute(Snapshot(frame.apply_set(positions), here),
-                                target)
+                    plan = plan_moves(frame.apply_set(positions), target)
                 except RuleViolation as exc:
                     return Outcome("FAULT", trace, index, positions,
                                    fault="internal", detail=str(exc))
-                pending[rid] = None if d.is_stay else frame.inverse().apply(
-                    (here[0] + d.direction[0], here[1] + d.direction[1]))
+                dest = plan.moves.get(here)
+                pending[rid] = (None if dest is None
+                                else frame.inverse().apply(dest))
                 since[rid] = index
-                all_formed = all_formed and d.formed
-                any_stuck = any_stuck or d.stuck_symmetric
-                trace.append(Event(index, rid, LOOK, pos[rid], phase=d.phase))
+                all_formed = all_formed and plan.formed
+                any_stuck = any_stuck or plan.stuck_symmetric
+                trace.append(Event(index, rid, LOOK, pos[rid],
+                                   phase=plan.phase))
             else:
                 dest, pending[rid] = pending[rid], None
                 after = pos[rid] if dest is None else dest

@@ -1,6 +1,6 @@
 import pytest
 
-from gridform.algorithm import PathInstance
+from gridform import verify
 from gridform.scheduler import LOOK, MOVE, Event, make_adversary, run
 from gridform.target import canonicalize_target
 from gridform.verify import (
@@ -9,7 +9,6 @@ from gridform.verify import (
     check_collision_free,
     check_formed,
     check_phase_transitions,
-    cross_check_asymmetry,
     oracle_pf_on_path,
 )
 
@@ -117,51 +116,40 @@ class TestPhaseTransitions:
 
 class TestPathOracle:
     def test_shift_by_three(self):
-        p = PathInstance((0, 1, 2), (3, 4, 5))
-        res = oracle_pf_on_path(p)
+        res = oracle_pf_on_path((0, 1, 2), (3, 4, 5))
         assert res.verdict.passed
         assert res.total_steps == 9
 
     def test_already_home(self):
-        p = PathInstance((0, 2), (0, 2))
-        res = oracle_pf_on_path(p)
+        res = oracle_pf_on_path((0, 2), (0, 2))
         assert res.verdict.passed
         assert res.total_steps == 0
 
     def test_crossing_assignments(self):
-        p = PathInstance((0, 5), (1, 4))
-        res = oracle_pf_on_path(p)
+        res = oracle_pf_on_path((0, 5), (1, 4))
         assert res.verdict.passed
         assert res.total_steps == 2
 
     def test_backward_block(self):
-        p = PathInstance((2, 3), (0, 1))
-        res = oracle_pf_on_path(p)
+        res = oracle_pf_on_path((2, 3), (0, 1))
         assert res.verdict.passed
         assert res.total_steps == 4
 
     def test_empty_instance(self):
-        p = PathInstance((), ())
-        assert oracle_pf_on_path(p).total_steps == 0
+        assert oracle_pf_on_path((), ()).total_steps == 0
 
     def test_large_instance_samples_orders(self):
         robots = tuple(range(6))
         targets = tuple(range(24, 30))
-        res = oracle_pf_on_path(PathInstance(robots, targets))
+        res = oracle_pf_on_path(robots, targets)
         assert res.verdict.passed
         assert res.total_steps == 6 * 24
 
+    def test_step_onto_an_occupied_index_is_a_collision(self, monkeypatch):
+        def no_free_test(robot_idx, target_idx):
+            return {i: i + (1 if goal > i else -1)
+                    for i, goal in zip(robot_idx, target_idx) if i != goal}
 
-class TestAsymmetryCrossCheck:
-    def test_asymmetric(self):
-        assert cross_check_asymmetry(REF11).passed
-
-    def test_symmetric(self):
-        assert cross_check_asymmetry({(0, 0), (1, 1)}).passed
-
-    def test_many_random(self, rng):
-        from gridform.sampling import random_points
-
-        for _ in range(300):
-            c = random_points(rng.randint(1, 8), 5, rng)
-            assert cross_check_asymmetry(c).passed
+        monkeypatch.setattr(verify, "pf_on_path_moves", no_free_test)
+        res = oracle_pf_on_path((0, 1, 2), (3, 4, 5))
+        assert [rule for _, rule, _ in res.verdict.violations] == ["collision"]
