@@ -1,9 +1,6 @@
 """Pattern formation for anonymous oblivious robots on the infinite grid."""
 
-from .algorithm import (
-    StepPlan,
-    plan_moves,
-)
+from .algorithm import StepPlan, plan_moves
 from .canonical import (
     CornerString,
     brute_force_symmetries,

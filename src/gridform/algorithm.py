@@ -8,15 +8,11 @@ alone, so the whole pipeline lives in pure functions of point sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .canonical import (
-    canonical_frames,
-    from_frame_coords,
-    to_frame_coords,
-)
-from .conditions import ConditionVector, classify_phase, evaluate_conditions
+from .canonical import canonical_frames, from_frame_coords, to_frame_coords
+from .conditions import (ConditionVector, classify_phase, evaluate_conditions,
+                         has_horizontal_reflection)
 from .geometry import Point
 from .target import TargetPattern
 
@@ -25,8 +21,7 @@ class RuleViolation(RuntimeError):
     """A phase rule met a configuration the analysis excludes."""
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """Global view of one decision round: which robots move where.
 
     ``moves`` maps a mover's position to its destination cell, in the same
@@ -35,7 +30,7 @@ class StepPlan:
 
     formed: bool
     phase: Optional[str]
-    moves: dict = field(default_factory=dict)
+    moves: dict
     stuck_symmetric: bool = False
 
 
@@ -91,7 +86,7 @@ def _phase2(cf, cv, t):
 
 def _phase3(cf, cv, t):
     tail = cv.tail
-    if not cv.c8:
+    if not has_horizontal_reflection(cf - {tail}):
         dy = 1
     elif cv.m > cv.V:
         dy = 1  # SER(C') sits strictly below the top edge: keep growing up
@@ -131,7 +126,7 @@ def _phase4(cf, cv, t):
 def _phase5(cf, cv, t):
     tail = cv.tail
     goal_y = t.t_target[1]  # the row of t~_target on the tail's column
-    if not cv.c8:
+    if not has_horizontal_reflection(cf - {tail}):
         dy = _sign(goal_y - tail[1])
     else:
         top = cv.V - 1  # y of C'' on the tail's column (head at origin)
@@ -203,11 +198,11 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     """
     points = frozenset(points)
     if len(points) == 1:
-        return StepPlan(formed=True, phase="DONE")
+        return StepPlan(formed=True, phase="DONE", moves={})
     frames = canonical_frames(points)
     cf = to_frame_coords(points, frames[0])
     if cf == t.points:
-        return StepPlan(formed=True, phase="DONE")
+        return StepPlan(formed=True, phase="DONE", moves={})
     try:
         cv = evaluate_conditions(cf, t)
         phase = classify_phase(cv)
@@ -215,13 +210,15 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     except RuleViolation:
         if len(frames) == 1:
             raise
-        return StepPlan(formed=False, phase=None, stuck_symmetric=True)
-    mapped = [{from_frame_coords(src, f): from_frame_coords(dst, f)
-               for src, dst in fm.items()} for f in frames]
-    if len(frames) == 1:
-        return StepPlan(formed=False, phase=phase, moves=mapped[0])
-    agreed = {src: dst for src, dst in mapped[0].items()
-              if all(mv.get(src) == dst for mv in mapped[1:])}
-    return StepPlan(formed=False, phase=phase, moves=agreed,
-                    stuck_symmetric=not agreed)
-
+        return StepPlan(formed=False, phase=None, moves={},
+                        stuck_symmetric=True)
+    f = frames[0]
+    moves = {from_frame_coords(src, f): from_frame_coords(dst, f)
+             for src, dst in fm.items()}
+    for g in frames[1:]:
+        other = {from_frame_coords(src, g): from_frame_coords(dst, g)
+                 for src, dst in fm.items()}
+        moves = {src: dst for src, dst in moves.items()
+                 if other.get(src) == dst}
+    return StepPlan(formed=False, phase=phase, moves=moves,
+                    stuck_symmetric=len(frames) > 1 and not moves)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .geometry import Isometry, Point, Rect, bounding_rect
+from .geometry import Isometry, Point, bounding_rect
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,16 @@ class CornerString:
     bits: str
 
 
-def _scan_specs(r: Rect):
-    """All (corner, short_dir, long_dir, short_len, long_len) scans of r."""
-    (x0, y0), (x1, y1) = r.min, r.max
-    w, h = r.width_pts, r.height_pts
-    if w == 1 and h == 1:
-        return [((x0, y0), None, (1, 0), 1, 1)]
-    if h == 1:  # horizontal line: one string per end
-        return [
-            ((x0, y0), None, (1, 0), 1, w),
-            ((x1, y0), None, (-1, 0), 1, w),
-        ]
-    if w == 1:  # vertical line
-        return [
-            ((x0, y0), None, (0, 1), 1, h),
-            ((x0, y1), None, (0, -1), 1, h),
-        ]
+def _scan_specs(occupied: frozenset):
+    """All (corner, short_dir, long_dir, short_len, long_len) scans of the
+    bounding rectangle of ``occupied``."""
+    xs, ys = zip(*occupied)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    w, h = x1 - x0 + 1, y1 - y0 + 1
+    if w == 1 or h == 1:  # a line: one string per end (a point has one)
+        dx, dy = (1, 0) if h == 1 else (0, 1)
+        ends = [((x0, y0), (dx, dy)), ((x1, y1), (-dx, -dy))]
+        return [(end, None, d, 1, w * h) for end, d in ends[:min(w * h, 2)]]
     corners = [
         ((x0, y0), (0, 1), (1, 0)),
         ((x1, y0), (0, 1), (-1, 0)),
@@ -61,23 +55,24 @@ def _scan_specs(r: Rect):
     return specs
 
 
-def _scan_keys(occupied: frozenset):
-    """(scan spec, key) for every scan of the bounding rectangle.
+def _scan_key(occupied: frozenset, spec) -> tuple:
+    """The sorted tuple of the indices ``i*short_len + j`` of the 1s.
 
-    A key is the sorted tuple of the indices ``i*short_len + j`` of the 1s.
     All scans of a rectangle have the same length and k ones, so the smaller
     key is the larger string. The index is linear in the point, so a key
     costs O(k log k) whatever the area.
     """
-    out = []
-    for spec in _scan_specs(bounding_rect(occupied)):
-        (ox, oy), short_dir, (lx, ly), short_len, _ = spec
-        sx, sy = short_dir or (0, 0)
-        a, b = lx * short_len + sx, ly * short_len + sy
-        c = -(a * ox + b * oy)
-        out.append((spec, tuple(sorted([a * x + b * y + c
-                                        for x, y in occupied]))))
-    return out
+    (ox, oy), short_dir, (lx, ly), short_len, _ = spec
+    sx, sy = short_dir or (0, 0)
+    a, b = lx * short_len + sx, ly * short_len + sy
+    c = -(a * ox + b * oy)
+    return tuple(sorted([a * x + b * y + c for x, y in occupied]))
+
+
+def _scan_keys(occupied: frozenset):
+    """(scan spec, key) for every scan of the bounding rectangle."""
+    return [(spec, _scan_key(occupied, spec))
+            for spec in _scan_specs(occupied)]
 
 
 def corner_strings(c: Iterable[Point]) -> list[CornerString]:
@@ -100,7 +95,9 @@ def is_asymmetric(c: Iterable[Point]) -> bool:
 
 def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     """One frame per corner string achieving the lexicographic maximum,
-    ordered by origin, then by x direction.
+    ordered by origin, then by x direction. A string starting with a 1 beats
+    every string starting with a 0, so only scans from occupied corners are
+    keyed when there are any, and a lone one needs no key.
 
     A frame maps ``c`` into its canonical coordinates: the scan's corner to
     the origin, its ``long_dir`` to +x and its ``short_dir`` to +y. A
@@ -109,12 +106,17 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     horizontal in its view (else +x). The two global outcomes are mirror
     images and similarity of the final pattern is unaffected.
     """
-    scans = _scan_keys(frozenset(c))
-    best = min(key for _, key in scans)
+    occupied = frozenset(c)
+    specs = _scan_specs(occupied)
+    lead = [spec for spec in specs if spec[0] in occupied] or specs
+    if len(lead) > 1:
+        keys = [_scan_key(occupied, spec) for spec in lead]
+        best = min(keys)
+        lead = [spec for spec, key in zip(lead, keys) if key == best]
+        if len(lead) > 1:
+            lead.sort(key=lambda spec: (spec[0], spec[2]))
     frames = []
-    for (ox, oy), short_dir, (xa, xb), _, _ in sorted(
-            (spec for spec, key in scans if key == best),
-            key=lambda spec: (spec[0], spec[2])):
+    for (ox, oy), short_dir, (xa, xb), _, _ in lead:
         ya, yb = short_dir or ((0, 1) if xb == 0 else (1, 0))
         frames.append(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
                                -(ya * ox + yb * oy)))
@@ -154,27 +156,6 @@ def head_tail(c: Iterable[Point], f: Isometry) -> tuple[Point, Point]:
     return from_frame_coords(order[0], f), from_frame_coords(order[-1], f)
 
 
-def _rect_symmetry_maps(r: Rect):
-    """Candidate non-identity isometries mapping the rectangle to itself,
-    as (matrix-free) point maps together with their linear matrices."""
-    (x0, y0), (x1, y1) = r.min, r.max
-    sx, sy = x0 + x1, y0 + y1
-    maps = [
-        (lambda p: (sx - p[0], p[1]), (-1, 0, 0, 1)),       # vertical axis
-        (lambda p: (p[0], sy - p[1]), (1, 0, 0, -1)),       # horizontal axis
-        (lambda p: (sx - p[0], sy - p[1]), (-1, 0, 0, -1)),  # 180 deg
-    ]
-    if r.width_pts == r.height_pts:
-        maps += [
-            # main diagonal, anti-diagonal, 90 deg CW, 90 deg CCW
-            (lambda p: (x0 + p[1] - y0, y0 + p[0] - x0), (0, 1, 1, 0)),
-            (lambda p: (x0 + y1 - p[1], y0 + x1 - p[0]), (0, -1, -1, 0)),
-            (lambda p: (x0 + p[1] - y0, y0 + x1 - p[0]), (0, 1, -1, 0)),
-            (lambda p: (x0 + y1 - p[1], y0 + p[0] - x0), (0, -1, 1, 0)),
-        ]
-    return maps
-
-
 def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
     """All non-trivial symmetries of ``c``, by exhausting the isometries
     that map its bounding rectangle to itself.
@@ -186,12 +167,19 @@ def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
     """
     occupied = frozenset(c)
     r = bounding_rect(occupied)
+    (x0, y0), (x1, y1) = r.min, r.max
+    candidates = [
+        Isometry(-1, 0, 0, 1, x0 + x1, 0),         # vertical axis
+        Isometry(1, 0, 0, -1, 0, y0 + y1),         # horizontal axis
+        Isometry(-1, 0, 0, -1, x0 + x1, y0 + y1),  # 180 deg
+    ]
+    if r.width_pts == r.height_pts:
+        candidates += [  # main diagonal, anti-diagonal, 90 deg CW, CCW
+            Isometry(0, 1, 1, 0, x0 - y0, y0 - x0),
+            Isometry(0, -1, -1, 0, x0 + y1, y0 + x1),
+            Isometry(0, 1, -1, 0, x0 - y0, y0 + x1),
+            Isometry(0, -1, 1, 0, x0 + y1, y0 - x0),
+        ]
     degenerate = r.width_pts == 1 or r.height_pts == 1
-    out = []
-    for fmap, matrix in _rect_symmetry_maps(r):
-        if all(fmap(p) in occupied for p in occupied):
-            if degenerate and all(fmap(p) == p for p in occupied):
-                continue
-            tx, ty = fmap((0, 0))
-            out.append(Isometry(*matrix, tx, ty))
-    return out
+    return [g for g in candidates if g.apply_set(occupied) == occupied
+            and not (degenerate and all(g.apply(p) == p for p in occupied))]

@@ -7,20 +7,17 @@ import json
 import random
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
 from . import scheduler, verify
-from .canonical import (
-    canonical_frames,
-    corner_strings,
-    head_tail,
-    is_asymmetric,
-    to_frame_coords,
-)
+from .canonical import (canonical_frames, corner_strings, head_tail,
+                        is_asymmetric, to_frame_coords)
+from .conditions import (classify_phase, evaluate_conditions,
+                         has_horizontal_reflection)
 from .geometry import Point, bounding_rect
 from .sampling import random_asymmetric_config, random_points
-from .conditions import classify_phase, evaluate_conditions
 from .target import canonicalize_target
 
 EXIT_OK = 0
@@ -135,7 +132,13 @@ def _verdicts(outcome: scheduler.Outcome, target) -> dict:
     return checks
 
 
+def _at_least_one(value: int, flag: str):
+    if value < 1:
+        raise CliError(f"{flag} must be at least 1")
+
+
 def cmd_run(args) -> int:
+    _at_least_one(args.max_events, "--max-events")
     config = load_config(args.config)
     raw_target = load_config(args.target)
     if len(config) != len(raw_target):
@@ -148,12 +151,17 @@ def cmd_run(args) -> int:
         raise CliError(f"--fairness must be at least 2k = {2 * len(config)} "
                        "(one full round)")
     adversary = scheduler.make_adversary(args.adversary, fairness, args.seed)
-    t0 = time.perf_counter()
-    outcome = scheduler.run(config, target, adversary, max_events=args.max_events)
-    elapsed = time.perf_counter() - t0
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            write_trace(outcome.trace, fh)
+    try:  # a bad path fails before the simulation, not after it
+        trace_out = open(args.trace, "w") if args.trace else nullcontext()
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+    with trace_out:
+        t0 = time.perf_counter()
+        outcome = scheduler.run(config, target, adversary,
+                                max_events=args.max_events)
+        elapsed = time.perf_counter() - t0
+        if args.trace:
+            write_trace(outcome.trace, trace_out)
     report = {
         "outcome": outcome.kind,
         "fault": outcome.fault,
@@ -211,8 +219,9 @@ def cmd_analyze(args) -> int:
         if len(frames) == 1 and len(config) >= 2:
             cf = to_frame_coords(config, frames[0])
             cv = evaluate_conditions(cf, target)
-            for i in range(9):
-                print(f"C{i}: {getattr(cv, f'c{i}')}")
+            for i in range(8):
+                print(f"C{i}: {cv[i]}")
+            print(f"C8: {has_horizontal_reflection(cf - {cv.tail})}")
             print(f"m={cv.m} n={cv.n} M={target.M} N={target.N} "
                   f"H={cv.H} V={cv.V}")
             print(f"phase: {classify_phase(cv)}")
@@ -239,6 +248,7 @@ def _asymmetric_config(k: int, box: int, rng: random.Random) -> frozenset:
 def cmd_gen(args) -> int:
     if args.k < 3:
         raise CliError("--k must be at least 3 (smaller swarms are symmetric)")
+    _at_least_one(args.count, "--count")
     _check_box(args.k, args.box)
     rng = random.Random(args.seed)
     outdir = Path(args.out_dir)
@@ -257,6 +267,8 @@ def cmd_fuzz(args) -> int:
         raise CliError("k range must start at 3 or above")
     if args.k_min > args.k_max:
         raise CliError(f"k range {args.k_range} is empty")
+    _at_least_one(args.runs, "--runs")
+    _at_least_one(args.max_events, "--max-events")
     _check_box(args.k_max, args.box)
     rng = random.Random(args.seed)
     kinds = scheduler.ADVERSARY_KINDS

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Point
 from .target import TargetPattern
 
-@dataclass(frozen=True)
-class ConditionVector:
+
+class ConditionVector(NamedTuple):
+    """C0..C7 and the sizes the rules read. C8, the horizontal reflection
+    of C', is read by phases 3 and 5 only, so they evaluate it themselves
+    (``has_horizontal_reflection``)."""
+
     c0: bool
     c1: bool
     c2: bool
@@ -17,7 +21,6 @@ class ConditionVector:
     c5: bool
     c6: bool
     c7: bool
-    c8: bool
     m: int
     n: int
     H: int
@@ -41,7 +44,7 @@ def has_horizontal_reflection(points: frozenset) -> bool:
 
 
 def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
-    """Evaluate C0..C8 for a configuration expressed in canonical coordinates."""
+    """Evaluate C0..C7 for a configuration expressed in canonical coordinates."""
     if len(cf) != len(t.points):
         raise ValueError(
             f"configuration has {len(cf)} robots but the target has {len(t.points)}"
@@ -66,7 +69,6 @@ def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
         c5=head == (0, 0),
         c6=m >= max(t.M, V) + 1,
         c7=dp <= t.points and t.h_target not in dp and t.t_target not in dp,
-        c8=has_horizontal_reflection(c_prime),
         m=m,
         n=n,
         H=H,

@@ -11,7 +11,7 @@ contains a complete cycle of every robot.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .algorithm import RuleViolation, plan_moves
@@ -138,7 +138,7 @@ def _plan(plans: dict, positions: frozenset, frame: Isometry,
     if key not in plans:
         local = plan_moves(frame.apply_set(positions), target)
         inv = frame.inverse()
-        plans[key] = replace(local, moves={
+        plans[key] = local._replace(moves={
             inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
     return plans[key]
 

@@ -18,7 +18,11 @@ from gridform.canonical import (
     to_frame_coords,
 )
 from gridform.cli import main
-from gridform.conditions import classify_phase, evaluate_conditions
+from gridform.conditions import (
+    classify_phase,
+    evaluate_conditions,
+    has_horizontal_reflection,
+)
 from gridform.geometry import LINEAR_CLASSES, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import make_adversary, run
@@ -144,7 +148,8 @@ def _harvest_phase_states(wanted, per_phase, seed):
             phase = classify_phase(cv)
             if phase in ("P4", "P5", "P6", "P7") and full("P4"):
                 break  # by verify.PHASE_EDGES no P1-P3 state can follow
-            key = phase if not (phase == "P3" and cv.c8) else None
+            c8 = phase == "P3" and has_horizontal_reflection(cf - {cv.tail})
+            key = None if c8 else phase
             if key in wanted and not full(key):
                 pools[key].append((cf, t))
             plan = plan_moves(cur, t)

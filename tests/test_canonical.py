@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridform.canonical import (
+    _scan_keys,
     brute_force_symmetries,
     canonical_frames,
     corner_strings,
@@ -64,6 +65,51 @@ def symmetric_points(draw):
         orbit |= img
         img = g.apply_set(img)
     return frozenset(orbit)
+
+
+@st.composite
+def corner_points(draw):
+    """A set whose bounding box is a known w x h box with exactly the drawn
+    0-4 corners occupied: each side without a drawn corner is pinned by a
+    point off its corners. Squares are included; a line's two ends are
+    always occupied."""
+    shape = draw(st.sampled_from(["rect", "square", "row", "column"]))
+    if shape in ("row", "column"):
+        n = draw(st.integers(1, 12))
+        ends = {(0, 0), (n - 1, 0)}
+        inner = draw(st.frozensets(st.integers(0, n - 1), max_size=5))
+        line = ends | {(i, 0) for i in inner}
+        return frozenset(line if shape == "row" else {(y, x) for x, y in line})
+    w = draw(st.integers(3, 12))
+    h = w if shape == "square" else draw(st.integers(3, 12))
+    corners = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]
+    chosen = draw(st.frozensets(st.sampled_from(corners)))
+    points = set(chosen)
+    for (x, y), (p, q) in [(corners[0], corners[1]), (corners[2], corners[3]),
+                           (corners[0], corners[2]), (corners[1], corners[3])]:
+        if (x, y) not in chosen and (p, q) not in chosen:
+            t = draw(st.integers(1, max(p - x, q - y) - 1))  # off the corners
+            points.add((x + t, y) if y == q else (x, y + t))
+    cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    points |= draw(st.frozensets(cell.filter(lambda c: c not in corners),
+                                 max_size=5))
+    assert {c for c in corners if c in points} == chosen
+    return frozenset(points)
+
+
+def reference_frames(c):
+    """The selection without the corner filter: every scan keyed, the
+    minimal keys win, sorted by origin and then by x row."""
+    scans = _scan_keys(frozenset(c))
+    best = min(key for _, key in scans)
+    frames = []
+    for (ox, oy), short_dir, (xa, xb), _, _ in sorted(
+            (spec for spec, key in scans if key == best),
+            key=lambda spec: (spec[0], spec[2])):
+        ya, yb = short_dir or ((0, 1) if xb == 0 else (1, 0))
+        frames.append(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
+                               -(ya * ox + yb * oy)))
+    return frames
 
 
 def origin(f):
@@ -250,9 +296,17 @@ class TestCanonicalFrames:
         for f in canonical_frames(c):
             assert frame_string(c, f) == best
 
+    @settings(max_examples=400)
+    @given(c=st.one_of(corner_points(), points_strategy, wide_sparse_points(),
+                       symmetric_points()))
+    def test_only_occupied_corners_are_keyed(self, c):
+        # a string that starts with a 1 beats every string that starts
+        # with a 0, so dropping empty corners changes no selection
+        assert canonical_frames(c) == reference_frames(c)
+
     @settings(max_examples=300)
     @given(c=st.one_of(points_strategy, wide_sparse_points(),
-                       symmetric_points()))
+                       symmetric_points(), corner_points()))
     def test_every_frame_gives_the_same_image(self, c):
         # plan_moves computes the conditions and the rule on one image
         images = {to_frame_coords(c, f) for f in canonical_frames(c)}

@@ -176,6 +176,28 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_events_below_one_usage_error(self, ref11_file, line_file,
+                                              value, capsys):
+        rc = main(["run", "--config", ref11_file, "--target", line_file,
+                   "--max-events", value])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --max-events must be at least 1" in captured.err
+
+    def test_trace_into_missing_directory_usage_error(self, ref11_file,
+                                                      line_file, tmp_path,
+                                                      capsys):
+        missing = tmp_path / "no-such-dir" / "trace.jsonl"
+        rc = main(["run", "--config", ref11_file, "--target", line_file,
+                   "--trace", str(missing)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the simulation
+        assert "error:" in captured.err and "no-such-dir" in captured.err
+
+
 class TestAnalyzeCommand:
     def test_ref11_report(self, ref11_file, line_file, capsys):
         rc = main(["analyze", "--config", ref11_file, "--target", line_file])
@@ -187,6 +209,23 @@ class TestAnalyzeCommand:
         assert f"tail: {REF11_TAIL}" in out
         assert "phase: P1" in out
         assert "m=6 n=8 M=1 N=11 H=7 V=6" in out
+
+    @pytest.mark.parametrize("config, target, bits, sizes, phase", [
+        (REF11, LINE11, "FFFTFFFFF", "m=6 n=8 M=1 N=11 H=7 V=6", "P1"),
+        # phase 3 whose C' = {(0,0), (0,1), (0,2)} is mirrored about y = 1
+        ({(0, 0), (0, 1), (0, 2), (5, 0)}, {(0, 0), (0, 1), (1, 0), (2, 1)},
+         "FFFTTTFFT", "m=3 n=6 M=2 N=3 H=1 V=3", "P3"),
+    ], ids=["ref11-line11", "p3-reflected"])
+    def test_condition_lines_are_pinned(self, tmp_path, capsys, config,
+                                        target, bits, sizes, phase):
+        config_path, target_path = tmp_path / "c.txt", tmp_path / "t.txt"
+        config_path.write_text(format_config(config))
+        target_path.write_text(format_config(target))
+        assert main(["analyze", "--config", str(config_path),
+                     "--target", str(target_path)]) == EXIT_OK
+        expected = ([f"C{i}: {b == 'T'}" for i, b in enumerate(bits)]
+                    + [sizes, f"phase: {phase}"])
+        assert capsys.readouterr().out.splitlines()[-11:] == expected
 
     def test_symmetric_config(self, tmp_path, capsys):
         path = tmp_path / "sym.txt"
@@ -250,6 +289,14 @@ class TestGenCommand:
         assert "error: no asymmetric 9-point set" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_usage_error(self, tmp_path, count, capsys):
+        rc = main(["gen", "--k", "5", "--count", count, "--out-dir",
+                   str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error: --count must be at least 1" in capsys.readouterr().err
+
+
 class TestFuzzCommand:
     def test_small_batch_all_formed(self, capsys):
         rc = main(["fuzz", "--runs", "6", "--k-range", "3..5", "--box", "8",
@@ -281,6 +328,18 @@ class TestFuzzCommand:
         assert rc == EXIT_USAGE
         assert "error: --box 4 has fewer than k = 30 cells" in (
             capsys.readouterr().err)
+
+
+    @pytest.mark.parametrize("flag", ["--runs", "--max-events"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_flag_below_one_usage_error(self, flag, value, capsys):
+        args = {"--runs": "2", "--max-events": "1000", flag: value}
+        rc = main(["fuzz", "--k-range", "3..4", "--box", "6",
+                   *(item for pair in args.items() for item in pair)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be at least 1" in captured.err
 
 
 class TestUsage:

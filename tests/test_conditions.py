@@ -15,7 +15,7 @@ from conftest import REF11, LINE11
 
 
 def vector(**bits):
-    fields = {f"c{i}": bits.get(f"c{i}", False) for i in range(9)}
+    fields = {f"c{i}": bits.get(f"c{i}", False) for i in range(8)}
     return ConditionVector(**fields, m=1, n=1, H=1, V=1,
                            head=(0, 0), tail=(0, 0))
 
@@ -40,7 +40,8 @@ class TestEvaluate:
         assert (cv.m, cv.n, t.M, t.N, cv.H, cv.V) == (6, 8, 1, 11, 7, 6)
         assert cv.c3 and not cv.c4
         assert not cv.c1 and not cv.c2 and not cv.c5
-        assert not cv.c6 and not cv.c7 and not cv.c8
+        assert not cv.c6 and not cv.c7
+        assert not has_horizontal_reflection(REF11 - {cv.tail})  # C8
         assert cv.head == (0, 1)
         assert cv.tail == (7, 2)
 
