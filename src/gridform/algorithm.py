@@ -197,8 +197,6 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     back to the same mover and the same physical destination.
     """
     points = frozenset(points)
-    if len(points) == 1:
-        return StepPlan(formed=True, phase="DONE", moves={})
     frames = canonical_frames(points)
     cf = to_frame_coords(points, frames[0])
     if cf == t.points:

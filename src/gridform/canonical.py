@@ -31,15 +31,18 @@ class CornerString:
 
 
 def _scan_specs(occupied: frozenset):
-    """All (corner, short_dir, long_dir, short_len, long_len) scans of the
-    bounding rectangle of ``occupied``."""
+    """All (corner, x_row, y_row, short_len) scans of the bounding rectangle
+    of ``occupied``. The scan's frame maps ``corner`` to the origin, its
+    ``x_row`` (the direction scan lines advance in) to +x and its ``y_row``
+    (the scanned side) to +y. A line has no scanned side: its y row is the
+    local +y when the line is horizontal, else +x."""
     xs, ys = zip(*occupied)
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w == 1 or h == 1:  # a line: one string per end (a point has one)
-        dx, dy = (1, 0) if h == 1 else (0, 1)
+        (dx, dy), y_row = ((1, 0), (0, 1)) if h == 1 else ((0, 1), (1, 0))
         ends = [((x0, y0), (dx, dy)), ((x1, y1), (-dx, -dy))]
-        return [(end, None, d, 1, w * h) for end, d in ends[:min(w * h, 2)]]
+        return [(end, d, y_row, 1) for end, d in ends[:min(w * h, 2)]]
     corners = [
         ((x0, y0), (0, 1), (1, 0)),
         ((x1, y0), (0, 1), (-1, 0)),
@@ -49,9 +52,9 @@ def _scan_specs(occupied: frozenset):
     specs = []
     for corner, vdir, hdir in corners:
         if h <= w:  # vertical side is the short one
-            specs.append((corner, vdir, hdir, h, w))
+            specs.append((corner, hdir, vdir, h))
         if w <= h:  # square rectangles get both scans per corner
-            specs.append((corner, hdir, vdir, w, h))
+            specs.append((corner, vdir, hdir, w))
     return specs
 
 
@@ -60,37 +63,48 @@ def _scan_key(occupied: frozenset, spec) -> tuple:
 
     All scans of a rectangle have the same length and k ones, so the smaller
     key is the larger string. The index is linear in the point, so a key
-    costs O(k log k) whatever the area.
+    costs O(k log k) whatever the area. On a line every point has j = 0.
     """
-    (ox, oy), short_dir, (lx, ly), short_len, _ = spec
-    sx, sy = short_dir or (0, 0)
+    (ox, oy), (lx, ly), (sx, sy), short_len = spec
     a, b = lx * short_len + sx, ly * short_len + sy
     c = -(a * ox + b * oy)
     return tuple(sorted([a * x + b * y + c for x, y in occupied]))
 
 
-def _scan_keys(occupied: frozenset):
-    """(scan spec, key) for every scan of the bounding rectangle."""
-    return [(spec, _scan_key(occupied, spec))
-            for spec in _scan_specs(occupied)]
+def _scan_frame(spec) -> Isometry:
+    """The frame of a scan: its corner to the origin, its rows to +x, +y."""
+    (ox, oy), (xa, xb), (ya, yb), _ = spec
+    return Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
+                    -(ya * ox + yb * oy))
+
+
+def collinear(points: Iterable[Point]) -> bool:
+    """True iff the set ``points`` lies on one grid row or one grid column
+    (a single point does): such a set has no Y-axis agreement."""
+    x0, y0 = next(iter(points))
+    return all(x == x0 for x, _ in points) or all(y == y0 for _, y in points)
 
 
 def corner_strings(c: Iterable[Point]) -> list[CornerString]:
-    """The dense occupancy string of every scan, derived from its key.
-    O(area), so only ``analyze`` and the tests use it."""
+    """The dense occupancy string of every scan. O(area), so only
+    ``analyze`` and the tests use it."""
+    occupied = frozenset(c)
     strings = []
-    for (corner, sd, ld, sl, ll), key in _scan_keys(frozenset(c)):
-        bits = ["0"] * (sl * ll)
-        for i in key:
-            bits[i] = "1"
-        strings.append(CornerString(corner, sd, ld, "".join(bits)))
+    for spec in _scan_specs(occupied):
+        corner, x_row, y_row, short_len = spec
+        bits = frame_string(occupied, _scan_frame(spec))
+        strings.append(CornerString(corner, y_row if short_len > 1 else None,
+                                    x_row, bits))
     return strings
 
 
 def is_asymmetric(c: Iterable[Point]) -> bool:
-    """True iff no two corner strings coincide (1x1 counts as asymmetric)."""
-    keys = [key for _, key in _scan_keys(frozenset(c))]
-    return len(keys) == len(set(keys))
+    """True iff ``c`` has a single canonical frame (1x1 counts as
+    asymmetric). A non-trivial symmetry maps each scan to a different scan
+    with the same key, so it doubles the maximal one; conversely two scans
+    with equal keys differ by the symmetry that maps one frame onto the
+    other."""
+    return len(canonical_frames(c)) == 1
 
 
 def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
@@ -100,11 +114,11 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     keyed when there are any, and a lone one needs no key.
 
     A frame maps ``c`` into its canonical coordinates: the scan's corner to
-    the origin, its ``long_dir`` to +x and its ``short_dir`` to +y. A
-    collinear ``c`` (or a single point) has no ``short_dir`` and no Y-axis
-    agreement; the robot then falls back to its own +y when the line is
-    horizontal in its view (else +x). The two global outcomes are mirror
-    images and similarity of the final pattern is unaffected.
+    the origin, its x row to +x and its y row to +y. A collinear ``c`` (or a
+    single point) has no scanned side and no Y-axis agreement; its y row is
+    the robot's own +y when the line is horizontal in its view (else +x),
+    as ``_scan_specs`` sets it. The two global outcomes are mirror images
+    and similarity of the final pattern is unaffected.
     """
     occupied = frozenset(c)
     specs = _scan_specs(occupied)
@@ -114,13 +128,8 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
         best = min(keys)
         lead = [spec for spec, key in zip(lead, keys) if key == best]
         if len(lead) > 1:
-            lead.sort(key=lambda spec: (spec[0], spec[2]))
-    frames = []
-    for (ox, oy), short_dir, (xa, xb), _, _ in lead:
-        ya, yb = short_dir or ((0, 1) if xb == 0 else (1, 0))
-        frames.append(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
-                               -(ya * ox + yb * oy)))
-    return frames
+            lead.sort()  # by corner, then by x row: unique per scan
+    return [_scan_frame(spec) for spec in lead]
 
 
 def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:

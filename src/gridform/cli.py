@@ -12,11 +12,11 @@ from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
 from . import scheduler, verify
-from .canonical import (canonical_frames, corner_strings, head_tail,
-                        is_asymmetric, to_frame_coords)
+from .canonical import (canonical_frames, collinear, corner_strings,
+                        head_tail, is_asymmetric, to_frame_coords)
 from .conditions import (classify_phase, evaluate_conditions,
                          has_horizontal_reflection)
-from .geometry import Point, bounding_rect
+from .geometry import Point
 from .sampling import random_asymmetric_config, random_points
 from .target import canonicalize_target
 
@@ -201,12 +201,11 @@ def cmd_analyze(args) -> int:
                         if sum(1 for o in strings if o.bits == cs.bits) > 1})
         print(f"symmetric (duplicate strings: {', '.join(dupes)})")
     frames = canonical_frames(config)
-    r = bounding_rect(config)
-    collinear = r.width_pts == 1 or r.height_pts == 1
+    line = collinear(config)
     for f in frames:
         print(f"frame: origin {f.inverse().apply((0, 0))} "
               f"x_dir {_dir_name((f.a, f.b))} y_dir "
-              f"{'UNDETERMINED' if collinear else _dir_name((f.c, f.d))}")
+              f"{'UNDETERMINED' if line else _dir_name((f.c, f.d))}")
     if len(config) >= 2:
         head, tail = head_tail(config, frames[0])
         print(f"head: {head}")
@@ -271,7 +270,7 @@ def cmd_fuzz(args) -> int:
     _at_least_one(args.max_events, "--max-events")
     _check_box(args.k_max, args.box)
     rng = random.Random(args.seed)
-    kinds = scheduler.ADVERSARY_KINDS
+    kinds = tuple(scheduler.ADVERSARIES)
     failures = []
     results = []
     for i in range(args.runs):

@@ -6,7 +6,7 @@ A configuration is a finite set of distinct lattice points, represented as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Point = tuple[int, int]
@@ -87,18 +87,21 @@ def similar(a: Iterable[Point], b: Iterable[Point]) -> Optional[Isometry]:
     """Witness isometry g with g(a) = b, or None.
 
     Both sets are anchored by their bounding-rectangle corners, so only the
-    8 rotation/reflection classes need to be tried.
+    8 rotation/reflection classes need to be tried. A linear class maps
+    ``a``'s corners ``min`` and ``max`` to opposite corners of the image's
+    rectangle, which fixes the translation before ``a`` is mapped once.
     """
     a, b = frozenset(a), frozenset(b)
     if len(a) != len(b):
         return None
     if not a:
         return IDENTITY
-    bmin = bounding_rect(b).min
+    ra = bounding_rect(a)
+    bx, by = bounding_rect(b).min
     for lin in LINEAR_CLASSES:
-        img = lin.apply_set(a)
-        imin = bounding_rect(img).min
-        g = replace(lin, tx=bmin[0] - imin[0], ty=bmin[1] - imin[1])
+        (px, py), (qx, qy) = lin.apply(ra.min), lin.apply(ra.max)
+        g = Isometry(lin.a, lin.b, lin.c, lin.d,
+                     bx - min(px, qx), by - min(py, qy))
         if g.apply_set(a) == b:
             return g
     return None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .algorithm import RuleViolation, plan_moves
-from .canonical import is_asymmetric
+from .canonical import collinear, is_asymmetric
 from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point
 from .target import TargetPattern
 
@@ -44,7 +44,7 @@ class Outcome:
 
 
 class Adversary:
-    """Base adversary: per-robot local frames plus a per-round event order."""
+    """Base adversary: random per-robot local frames, per-round event order."""
 
     def __init__(self, fairness_window: int, seed: int = 0):
         if fairness_window < 2:
@@ -53,14 +53,17 @@ class Adversary:
         self._rng = random.Random(seed)
 
     def robot_frames(self, k: int) -> list[Isometry]:
-        return [IDENTITY] * k
+        return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
 
     def round_order(self, k: int) -> list[tuple[int, str]]:
         raise NotImplementedError
 
 
 class RoundRobinAdversary(Adversary):
-    """Synchronous-like: L0 M0 L1 M1 ... each round."""
+    """Synchronous-like: L0 M0 L1 M1 ... each round, in the global axes."""
+
+    def robot_frames(self, k):
+        return [IDENTITY] * k
 
     def round_order(self, k):
         order = []
@@ -73,9 +76,6 @@ class RoundRobinAdversary(Adversary):
 class RandomAdversary(Adversary):
     """Uniform interleaving: Looks and Moves shuffled, Look-before-Move
     per robot preserved."""
-
-    def robot_frames(self, k):
-        return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
 
     def round_order(self, k):
         tokens = list(range(k)) * 2
@@ -94,9 +94,6 @@ class RandomAdversary(Adversary):
 class MaxStaleAdversary(Adversary):
     """All Looks first, then all Moves: every decision is maximally stale."""
 
-    def robot_frames(self, k):
-        return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
-
     def round_order(self, k):
         looks = list(range(k))
         moves = list(range(k))
@@ -110,9 +107,6 @@ ADVERSARIES = {
     "round_robin": RoundRobinAdversary,
     "max_stale": MaxStaleAdversary,
 }
-
-#: The adversary names, in table order (the ``fuzz`` rotation).
-ADVERSARY_KINDS = tuple(ADVERSARIES)
 
 
 def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
@@ -129,9 +123,7 @@ def _plan(plans: dict, positions: frozenset, frame: Isometry,
     collinear one has no covariant Y-axis (its canonical frame's y row is a
     local fallback), so it is planned in the robot's own frame under the key
     (positions, frame)."""
-    x0, y0 = next(iter(positions))
-    if (any(x != x0 for x, _ in positions)
-            and any(y != y0 for _, y in positions)):
+    if not collinear(positions):
         plans[positions] = plan = plan_moves(positions, target)
         return plan
     key = (positions, frame)
@@ -154,7 +146,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     if adversary.fairness_window < 2 * k:
         raise ValueError("fairness window smaller than one full round")
     trace: list[Event] = []
-    if k >= 2 and not is_asymmetric(initial):
+    if not is_asymmetric(initial):
         return Outcome("FAULT", trace, 0, initial, fault="symmetric-input")
 
     frames = adversary.robot_frames(k)  # local = frame(global)

@@ -16,7 +16,7 @@ class TargetPattern:
     The bounding rectangle is [0, N-1] x [0, M-1] with N >= M, and the
     occupancy string scanned from the origin (+y within a column, columns
     advancing +x) is lexicographically maximal among all corner strings.
-    C' (no tail) and C'' (no head, no tail) are derived on each read.
+    C'' (no head, no tail) is derived on each read.
     """
 
     points: frozenset
@@ -24,10 +24,6 @@ class TargetPattern:
     N: int
     h_target: Point
     t_target: Point
-
-    @property
-    def c_prime(self) -> frozenset:
-        return self.points - {self.t_target}
 
     @property
     def c_double_prime(self) -> frozenset:

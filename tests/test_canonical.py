@@ -1,13 +1,15 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridform.canonical import (
-    _scan_keys,
+    _scan_key,
+    _scan_specs,
     brute_force_symmetries,
     canonical_frames,
+    collinear,
     corner_strings,
     frame_string,
     from_frame_coords,
@@ -100,13 +102,13 @@ def corner_points(draw):
 def reference_frames(c):
     """The selection without the corner filter: every scan keyed, the
     minimal keys win, sorted by origin and then by x row."""
-    scans = _scan_keys(frozenset(c))
+    c = frozenset(c)
+    scans = [(spec, _scan_key(c, spec)) for spec in _scan_specs(c)]
     best = min(key for _, key in scans)
     frames = []
-    for (ox, oy), short_dir, (xa, xb), _, _ in sorted(
+    for (ox, oy), (xa, xb), (ya, yb), _ in sorted(
             (spec for spec, key in scans if key == best),
-            key=lambda spec: (spec[0], spec[2])):
-        ya, yb = short_dir or ((0, 1) if xb == 0 else (1, 0))
+            key=lambda spec: (spec[0], spec[1])):
         frames.append(Isometry(xa, xb, ya, yb, -(xa * ox + xb * oy),
                                -(ya * ox + yb * oy)))
     return frames
@@ -234,6 +236,19 @@ class TestAsymmetry:
     @given(c=points_strategy)
     def test_agrees_with_brute_force(self, c):
         assert is_asymmetric(c) == (not brute_force_symmetries(c))
+
+
+class TestCollinear:
+    @settings(max_examples=300)
+    @given(c=st.one_of(points_strategy, wide_sparse_points(), corner_points(),
+                       symmetric_points()))
+    @example(c=LINE_1101)
+    @example(c=frozenset({(2, 0), (2, 1), (2, 3)}))
+    @example(c=frozenset({(3, -2)}))
+    @example(c=frozenset({(0, 0), (1, 1)}))
+    def test_is_a_one_wide_or_one_high_rectangle(self, c):
+        r = bounding_rect(c)
+        assert collinear(c) == (r.width_pts == 1 or r.height_pts == 1)
 
 
 class TestBruteForceSymmetries:

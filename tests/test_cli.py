@@ -79,7 +79,7 @@ class TestConfigIO:
 
 class TestTraceIO:
     def test_round_trip(self):
-        for kind in scheduler.ADVERSARY_KINDS:
+        for kind in scheduler.ADVERSARIES:
             out = run(REF11, canonicalize_target(LINE11),
                       make_adversary(kind, 44, seed=5))
             buf = io.StringIO()

@@ -65,6 +65,9 @@ class TestAdversaries:
         frames = RandomAdversary(8, seed=1).robot_frames(50)
         assert {(f.tx, f.ty) for f in frames} == {(0, 0)}
         assert len(set(frames)) > 1
+        # the same draw for every adversary that does not override it
+        assert MaxStaleAdversary(8, seed=1).robot_frames(50) == frames
+        assert RoundRobinAdversary(8, seed=1).robot_frames(3) == [IDENTITY] * 3
 
 
 class TestRun:
@@ -87,6 +90,13 @@ class TestRun:
         assert out.kind == "FORMED"
         assert out.events_used == 2 * len(REF11)
         assert out.final == REF11
+
+    def test_single_robot_is_formed_in_one_round(self):
+        for kind in scheduler.ADVERSARIES:
+            out = run({(3, -2)}, canonicalize_target({(0, 0)}),
+                      make_adversary(kind, 2, seed=3))
+            assert (out.kind, out.fault) == ("FORMED", None)
+            assert out.events_used == 2
 
     def test_symmetric_input_faults(self):
         out = run({(0, 0), (1, 0)}, canonicalize_target({(0, 0), (3, 0)}),

@@ -26,7 +26,6 @@ def test_symmetric_square_target():
     assert (t.M, t.N) == (2, 2)
     assert t.h_target == (0, 0)
     assert t.t_target == (1, 0)
-    assert t.c_prime == {(0, 0), (0, 1)}
     assert t.c_double_prime == {(0, 1)}
 
 
@@ -85,5 +84,4 @@ def test_interior_sets_are_derived_from_the_stored_fields():
     rng = random.Random(7)
     for i in range(2000):
         t = canonicalize_target(random_points(2 + i % 9, 6, rng))
-        assert t.c_prime == t.points - {t.t_target}
         assert t.c_double_prime == t.points - {t.h_target, t.t_target}
