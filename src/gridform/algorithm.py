@@ -8,6 +8,7 @@ alone, so the whole pipeline lives in pure functions of point sets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .canonical import canonical_frames, from_frame_coords, to_frame_coords
@@ -111,10 +112,19 @@ def _snake_indices(points: frozenset, m: int, n: int) -> list:
     return idx
 
 
+@lru_cache(maxsize=16)
+def _target_indices(t: TargetPattern, m: int, n: int) -> tuple:
+    """``_snake_indices`` of C'' on the (m, n) path, derived once per
+    (t, m, n): a run's phase 4 plans share one path, so a few entries serve
+    a batch of runs. A point off the path raises; an exception is never
+    cached."""
+    return tuple(_snake_indices(t.c_double_prime, m, n))
+
+
 def _phase4(cf, cv, t):
     m, n = cv.m - 1, cv.n // 2
     robot_idx = _snake_indices(cf - {cv.head, cv.tail}, m, n)
-    target_idx = _snake_indices(t.c_double_prime, m, n)
+    target_idx = _target_indices(t, m, n)
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
     # the head holds index 0, which no interior target uses, and the tail is
@@ -210,6 +220,13 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
             raise
         return StepPlan(formed=False, phase=None, moves={},
                         stuck_symmetric=True)
+    if len(frames) == 1:  # map back through the transpose, inlined
+        a, b, c, d, tx, ty = frames[0]
+        ux, uy = -(a * tx + c * ty), -(b * tx + d * ty)
+        return StepPlan(False, phase, {
+            (a * x + c * y + ux, b * x + d * y + uy):
+            (a * u + c * v + ux, b * u + d * v + uy)
+            for (x, y), (u, v) in fm.items()})
     f = frames[0]
     moves = {from_frame_coords(src, f): from_frame_coords(dst, f)
              for src, dst in fm.items()}
@@ -219,4 +236,4 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
     return StepPlan(formed=False, phase=phase, moves=moves,
-                    stuck_symmetric=len(frames) > 1 and not moves)
+                    stuck_symmetric=not moves)

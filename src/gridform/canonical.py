@@ -32,30 +32,33 @@ class CornerString:
 
 def _scan_specs(occupied: frozenset):
     """All (corner, x_row, y_row, short_len) scans of the bounding rectangle
-    of ``occupied``. The scan's frame maps ``corner`` to the origin, its
-    ``x_row`` (the direction scan lines advance in) to +x and its ``y_row``
-    (the scanned side) to +y. A line has no scanned side: its y row is the
-    local +y when the line is horizontal, else +x."""
-    xs, ys = zip(*occupied)
+    of ``occupied``, corner by corner. The scan's frame maps ``corner`` to
+    the origin, its ``x_row`` (the direction scan lines advance in) to +x
+    and its ``y_row`` (the scanned side) to +y. A line has no scanned side:
+    its y row is the local +y when the line is horizontal, else +x."""
+    try:
+        xs, ys = zip(*occupied)
+    except ValueError:
+        raise ValueError("empty configuration") from None
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w == 1 or h == 1:  # a line: one string per end (a point has one)
         (dx, dy), y_row = ((1, 0), (0, 1)) if h == 1 else ((0, 1), (1, 0))
         ends = [((x0, y0), (dx, dy)), ((x1, y1), (-dx, -dy))]
         return [(end, d, y_row, 1) for end, d in ends[:min(w * h, 2)]]
-    corners = [
-        ((x0, y0), (0, 1), (1, 0)),
-        ((x1, y0), (0, 1), (-1, 0)),
-        ((x0, y1), (0, -1), (1, 0)),
-        ((x1, y1), (0, -1), (-1, 0)),
-    ]
-    specs = []
-    for corner, vdir, hdir in corners:
-        if h <= w:  # vertical side is the short one
-            specs.append((corner, hdir, vdir, h))
-        if w <= h:  # square rectangles get both scans per corner
-            specs.append((corner, vdir, hdir, w))
-    return specs
+    if h < w:  # the vertical side is the short one: scan it
+        return [((x0, y0), (1, 0), (0, 1), h), ((x1, y0), (-1, 0), (0, 1), h),
+                ((x0, y1), (1, 0), (0, -1), h),
+                ((x1, y1), (-1, 0), (0, -1), h)]
+    if w < h:
+        return [((x0, y0), (0, 1), (1, 0), w), ((x1, y0), (0, 1), (-1, 0), w),
+                ((x0, y1), (0, -1), (1, 0), w),
+                ((x1, y1), (0, -1), (-1, 0), w)]
+    # a square: both scans per corner
+    return [((x0, y0), (1, 0), (0, 1), w), ((x0, y0), (0, 1), (1, 0), w),
+            ((x1, y0), (-1, 0), (0, 1), w), ((x1, y0), (0, 1), (-1, 0), w),
+            ((x0, y1), (1, 0), (0, -1), w), ((x0, y1), (0, -1), (1, 0), w),
+            ((x1, y1), (-1, 0), (0, -1), w), ((x1, y1), (0, -1), (-1, 0), w)]
 
 
 def _scan_key(occupied: frozenset, spec) -> tuple:
@@ -81,7 +84,10 @@ def _scan_frame(spec) -> Isometry:
 def collinear(points: Iterable[Point]) -> bool:
     """True iff the set ``points`` lies on one grid row or one grid column
     (a single point does): such a set has no Y-axis agreement."""
-    x0, y0 = next(iter(points))
+    try:
+        x0, y0 = next(iter(points))
+    except StopIteration:
+        raise ValueError("empty configuration") from None
     return all(x == x0 for x, _ in points) or all(y == y0 for _, y in points)
 
 
@@ -139,8 +145,9 @@ def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:
 
 def from_frame_coords(q: Point, f: Isometry) -> Point:
     """Map frame coordinates back to the coordinates ``f`` was built in."""
-    u, v = q[0] - f.tx, q[1] - f.ty
-    return (f.a * u + f.c * v, f.b * u + f.d * v)
+    a, b, c, d, tx, ty = f
+    u, v = q[0] - tx, q[1] - ty
+    return (a * u + c * v, b * u + d * v)
 
 
 def frame_string(c: Iterable[Point], f: Isometry) -> str:

@@ -251,13 +251,16 @@ def cmd_gen(args) -> int:
     _check_box(args.k, args.box)
     rng = random.Random(args.seed)
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for i in range(args.count):
-        c = _asymmetric_config(args.k, args.box, rng)
-        path = outdir / f"config_k{args.k}_s{args.seed}_{i:03d}.txt"
-        path.write_text(f"# asymmetric, k={args.k}, box={args.box}\n"
-                        + format_config(c))
-        print(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i in range(args.count):
+            c = _asymmetric_config(args.k, args.box, rng)
+            path = outdir / f"config_k{args.k}_s{args.seed}_{i:03d}.txt"
+            path.write_text(f"# asymmetric, k={args.k}, box={args.box}\n"
+                            + format_config(c))
+            print(path)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
     return EXIT_OK
 
 

@@ -60,21 +60,16 @@ def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
     # c1 and c7: equal sizes (k-1, k-2), so a subset test is set equality
     c_prime = cf - {tail}
     dp = c_prime - {head}
-    return ConditionVector(
-        c0=cf == t.points,
-        c1=c_prime <= t.points and t.t_target not in c_prime,
-        c2=tail[1] == t.t_target[1],
-        c3=n >= max(t.M, m) + 2,
-        c4=n >= 2 * max(t.N, H),
-        c5=head == (0, 0),
-        c6=m >= max(t.M, V) + 1,
-        c7=dp <= t.points and t.h_target not in dp and t.t_target not in dp,
-        m=m,
-        n=n,
-        H=H,
-        V=V,
-        head=head,
-        tail=tail,
+    return ConditionVector(  # positional, in field order: c0..c7, sizes, ends
+        cf == t.points,
+        c_prime <= t.points and t.t_target not in c_prime,
+        tail[1] == t.t_target[1],
+        n >= max(t.M, m) + 2,
+        n >= 2 * max(t.N, H),
+        head == (0, 0),
+        m >= max(t.M, V) + 1,
+        dp <= t.points and t.h_target not in dp and t.t_target not in dp,
+        m, n, H, V, head, tail,
     )
 
 

@@ -7,17 +7,17 @@ A configuration is a finite set of distinct lattice points, represented as a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """A lattice isometry ``(x, y) -> (a*x + b*y + tx, c*x + d*y + ty)``.
 
     The linear part ``(a, b, c, d)``, row-major, is a signed permutation
-    matrix: a quarter-turn rotation, possibly after a reflection.
+    matrix: a quarter-turn rotation, possibly after a reflection. A named
+    tuple of six ints, so a frame is cheap to build and to unpack.
     """
 
     a: int
@@ -28,20 +28,19 @@ class Isometry:
     ty: int = 0
 
     def apply(self, p: Point) -> Point:
+        a, b, c, d, tx, ty = self
         x, y = p
-        return (self.a * x + self.b * y + self.tx,
-                self.c * x + self.d * y + self.ty)
+        return (a * x + b * y + tx, c * x + d * y + ty)
 
     def apply_set(self, points: Iterable[Point]) -> frozenset:
-        a, b, c, d, tx, ty = self.a, self.b, self.c, self.d, self.tx, self.ty
+        a, b, c, d, tx, ty = self
         return frozenset([(a * x + b * y + tx, c * x + d * y + ty)
                           for x, y in points])
 
     def inverse(self) -> "Isometry":
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c, d, tx, ty = self
         # Orthogonal integer matrix: inverse is the transpose.
-        return Isometry(a, c, b, d, -(a * self.tx + c * self.ty),
-                        -(b * self.tx + d * self.ty))
+        return Isometry(a, c, b, d, -(a * tx + c * ty), -(b * tx + d * ty))
 
 
 #: The 8 rotation/reflection classes (no translation): 0-3 counterclockwise

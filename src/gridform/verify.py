@@ -40,28 +40,38 @@ PHASE_EDGES = {
 
 
 def check_collision_free(trace: Iterable[Event]) -> Verdict:
-    """Replay the trace and flag any event after which two robots coincide."""
+    """Replay the trace and flag any event after which two robots coincide.
+
+    ``count`` holds how many known robots stand on each occupied cell, so
+    every event is O(1); a cell stays occupied until its last robot leaves.
+    """
     v = Verdict()
     positions: dict[int, Point] = {}
-    for ev in trace:
-        if ev.kind not in (LOOK, MOVE):
-            raise ValueError(f"malformed trace: unknown event kind {ev.kind!r}")
-        known = positions.get(ev.robot)
+    count: dict[Point, int] = {}
+    for index, robot, kind, before, after, _, _ in trace:
+        if kind not in (LOOK, MOVE):
+            raise ValueError(f"malformed trace: unknown event kind {kind!r}")
+        known = positions.get(robot)
         if known is None:
-            if ev.pos_before in positions.values():
-                v.flag(ev.index, "collision",
-                       f"robot {ev.robot} starts on an occupied cell")
-            positions[ev.robot] = ev.pos_before
-        elif known != ev.pos_before:
+            if before in count:
+                v.flag(index, "collision",
+                       f"robot {robot} starts on an occupied cell")
+            positions[robot] = before
+            count[before] = count.get(before, 0) + 1
+        elif known != before:
             raise ValueError(
-                f"malformed trace: robot {ev.robot} jumps at event {ev.index}"
+                f"malformed trace: robot {robot} jumps at event {index}"
             )
-        if ev.kind == MOVE and ev.pos_after != ev.pos_before:
-            others = {p for r, p in positions.items() if r != ev.robot}
-            if ev.pos_after in others:
-                v.flag(ev.index, "collision",
-                       f"robot {ev.robot} moves onto an occupied cell")
-            positions[ev.robot] = ev.pos_after
+        if kind == MOVE and after != before:
+            if after in count:  # the mover stands on ``before``, not here
+                v.flag(index, "collision",
+                       f"robot {robot} moves onto an occupied cell")
+            positions[robot] = after
+            if count[before] == 1:
+                del count[before]
+            else:
+                count[before] -= 1
+            count[after] = count.get(after, 0) + 1
     return v
 
 

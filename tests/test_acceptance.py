@@ -6,7 +6,6 @@ single PASS line on success (visible with ``pytest -s`` or on failure).
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -200,7 +199,7 @@ def test_criterion_6_frame_invariance():
         t = canonicalize_target(random_points(k, 6, rng))
         base = plan_moves(c, t)
         for lin in LINEAR_CLASSES:
-            g = replace(lin, tx=rng.randint(-8, 8), ty=rng.randint(-8, 8))
+            g = lin._replace(tx=rng.randint(-8, 8), ty=rng.randint(-8, 8))
             img = plan_moves(g.apply_set(c), t)
             assert img.formed == base.formed
             assert img.moves == {

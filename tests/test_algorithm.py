@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gridform.algorithm import (
     RuleViolation,
+    _snake_indices,
+    _target_indices,
     pf_on_path_moves,
     phase_moves,
     plan_moves,
@@ -228,6 +230,40 @@ class TestPhaseRules:
             assert not set(dests) & (set(config) - set(plan.moves))
 
 
+class TestTargetIndexCache:
+    """Phase 4 reads the target's snake indices through a bounded cache
+    keyed by (target, m, n)."""
+
+    def test_cached_indices_equal_a_fresh_derivation(self):
+        rng = random.Random(10)
+        for _ in range(400):
+            t = canonicalize_target(
+                random_points(rng.randint(3, 9), rng.randint(3, 8), rng))
+            m, n = rng.randint(t.M, t.M + 4), rng.randint(t.N, t.N + 4)
+            first = _target_indices(t, m, n)
+            assert isinstance(first, tuple)
+            assert first == tuple(_snake_indices(t.c_double_prime, m, n))
+            assert _target_indices(t, m, n) is first  # a hit
+        assert _target_indices.cache_info().maxsize is not None
+
+    def test_target_point_off_the_path_raises_on_every_call(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 100:
+            t = canonicalize_target(
+                random_points(rng.randint(4, 9), rng.randint(3, 8), rng))
+            if not t.c_double_prime:
+                continue
+            # the path covers x < n: cut it left of the rightmost interior
+            n = max(x for x, _ in t.c_double_prime)
+            if n == 0:
+                continue
+            for _ in range(3):
+                with pytest.raises(RuleViolation, match="off the phase 4 path"):
+                    _target_indices(t, t.M, n)
+            checked += 1
+
+
 class TestPlanProperties:
     def test_frame_invariance(self, rng):
         """The physical plan commutes with any isometry of the input.
@@ -242,9 +278,8 @@ class TestPlanProperties:
                 continue
             t = canonicalize_target(random_points(k, 5, rng))
             base = plan_moves(c, t)
-            g = dataclasses.replace(rng.choice(LINEAR_CLASSES),
-                                    tx=rng.randint(-6, 6),
-                                    ty=rng.randint(-6, 6))
+            g = rng.choice(LINEAR_CLASSES)._replace(tx=rng.randint(-6, 6),
+                                                    ty=rng.randint(-6, 6))
             img = plan_moves(g.apply_set(c), t)
             assert img.formed == base.formed
             assert img.moves == {

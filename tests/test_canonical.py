@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +23,7 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
 )
 isometry_strategy = st.builds(
-    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    lambda lin, tx, ty: lin._replace(tx=tx, ty=ty),
     st.sampled_from(LINEAR_CLASSES),
     st.integers(-3, 3),
     st.integers(-3, 3),
@@ -408,3 +406,11 @@ class TestHeadTail:
         h1, _ = head_tail(c, canonical_frames(c)[0])
         h2, _ = head_tail(img, canonical_frames(img)[0])
         assert g.apply(h1) == h2
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("fn", [is_asymmetric, canonical_frames, collinear,
+                                    corner_strings])
+    def test_empty_configuration_is_rejected(self, fn):
+        with pytest.raises(ValueError, match="empty configuration"):
+            fn([])

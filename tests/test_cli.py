@@ -296,6 +296,22 @@ class TestGenCommand:
         assert rc == EXIT_USAGE
         assert "error: --count must be at least 1" in capsys.readouterr().err
 
+    def test_out_dir_is_a_file_usage_error(self, tmp_path, capsys):
+        existing = tmp_path / "taken"
+        existing.write_text("not a directory\n")
+        rc = main(["gen", "--k", "5", "--out-dir", str(existing)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "taken" in captured.err
+
+    def test_unwritable_file_usage_error(self, tmp_path, capsys):
+        # a directory where the first output file should go
+        (tmp_path / "config_k5_s0_000.txt").mkdir()
+        rc = main(["gen", "--k", "5", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFuzzCommand:
     def test_small_batch_all_formed(self, capsys):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,7 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6
 )
 isometry_strategy = st.builds(
-    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    lambda lin, tx, ty: lin._replace(tx=tx, ty=ty),
     st.sampled_from(LINEAR_CLASSES),
     st.integers(-5, 5),
     st.integers(-5, 5),
@@ -137,7 +135,7 @@ class TestSimilar:
             # Any translation matching one point of b is a candidate.
             anchor = next(iter(img))
             for q in b:
-                g = replace(lin, tx=q[0] - anchor[0], ty=q[1] - anchor[1])
+                g = lin._replace(tx=q[0] - anchor[0], ty=q[1] - anchor[1])
                 if g.apply_set(a) == b:
                     found = g
                     break

@@ -12,7 +12,7 @@ from gridform.scheduler import (
     make_adversary,
     run,
 )
-from gridform.target import canonicalize_target
+from gridform.target import TargetPattern, canonicalize_target
 
 from conftest import REF11, LINE11
 
@@ -188,3 +188,9 @@ class TestCollision:
         assert out.events_used == 2
         assert out.final == REF11
         assert out.trace[-1].pos_after == (0, 3)
+
+
+def test_empty_configuration_is_rejected():
+    empty = TargetPattern(frozenset(), 0, 0, (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="empty configuration"):
+        run(frozenset(), empty, make_adversary("random", 2))

@@ -1,6 +1,6 @@
 import random
-from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,7 @@ points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
 )
 isometry_strategy = st.builds(
-    lambda lin, tx, ty: replace(lin, tx=tx, ty=ty),
+    lambda lin, tx, ty: lin._replace(tx=tx, ty=ty),
     st.sampled_from(LINEAR_CLASSES),
     st.integers(-4, 4),
     st.integers(-4, 4),
@@ -85,3 +85,8 @@ def test_interior_sets_are_derived_from_the_stored_fields():
     for i in range(2000):
         t = canonicalize_target(random_points(2 + i % 9, 6, rng))
         assert t.c_double_prime == t.points - {t.h_target, t.t_target}
+
+
+def test_empty_pattern_is_rejected():
+    with pytest.raises(ValueError, match="empty configuration"):
+        canonicalize_target([])

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from gridform import verify
+from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import LOOK, MOVE, Event, make_adversary, run
 from gridform.target import canonicalize_target
 from gridform.verify import (
     PHASE_EDGES,
+    Verdict,
     back_edge_count,
     check_collision_free,
     check_formed,
@@ -58,6 +62,118 @@ class TestCollisionFree:
     def test_real_run_passes(self):
         out = run(REF11, LINE_TARGET, make_adversary("random", 44, seed=2))
         assert check_collision_free(out.trace).passed
+
+
+def reference_collision_free(trace):
+    """The O(k)-per-event replay ``check_collision_free`` replaced: the
+    other robots' cells are rebuilt on every move and a new robot is
+    looked up among all known positions."""
+    v = Verdict()
+    positions = {}
+    for ev in trace:
+        if ev.kind not in (LOOK, MOVE):
+            raise ValueError(f"malformed trace: unknown event kind {ev.kind!r}")
+        known = positions.get(ev.robot)
+        if known is None:
+            if ev.pos_before in positions.values():
+                v.flag(ev.index, "collision",
+                       f"robot {ev.robot} starts on an occupied cell")
+            positions[ev.robot] = ev.pos_before
+        elif known != ev.pos_before:
+            raise ValueError(
+                f"malformed trace: robot {ev.robot} jumps at event {ev.index}"
+            )
+        if ev.kind == MOVE and ev.pos_after != ev.pos_before:
+            others = {p for r, p in positions.items() if r != ev.robot}
+            if ev.pos_after in others:
+                v.flag(ev.index, "collision",
+                       f"robot {ev.robot} moves onto an occupied cell")
+            positions[ev.robot] = ev.pos_after
+    return v
+
+
+def assert_same_replay(trace):
+    """Both replays flag the same violations, or raise the same error."""
+    try:
+        expected = reference_collision_free(trace).violations
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            check_collision_free(trace)
+        assert str(got.value) == str(exc)
+        return None
+    assert check_collision_free(trace).violations == expected
+    return expected
+
+
+def real_traces(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(3, 8)
+        config = random_asymmetric_config(k, 8, rng)
+        target = canonicalize_target(random_points(k, 8, rng))
+        kind = ("random", "round_robin", "max_stale")[i % 3]
+        yield run(config, target, make_adversary(kind, 4 * k, i)).trace
+
+
+class TestCollisionReplayMatchesReference:
+    def test_real_traces(self):
+        for trace in real_traces(30, seed=5):
+            assert assert_same_replay(trace) == []
+
+    def test_injected_collisions(self):
+        rng = random.Random(6)
+        injected = 0
+        for trace in real_traces(30, seed=7):
+            moves = [i for i, ev in enumerate(trace)
+                     if ev.kind == MOVE and ev.pos_after != ev.pos_before]
+            for i in rng.sample(moves, min(3, len(moves))):
+                # send the mover onto a cell another robot holds at that time
+                cells = {}
+                for ev in trace[:i]:
+                    cells[ev.robot] = ev.pos_before if ev.kind == LOOK \
+                        else ev.pos_after
+                occupied = [p for r, p in cells.items()
+                            if r != trace[i].robot]
+                if not occupied:
+                    continue
+                bad = trace[:i] + [trace[i]._replace(
+                    pos_after=rng.choice(occupied))]
+                assert len(assert_same_replay(bad)) == 1
+                # the rest of the trace no longer follows: both call it
+                # malformed or both flag the same events
+                assert_same_replay(bad + trace[i + 1:])
+                injected += 1
+        assert injected > 20
+
+    def test_shared_start_cell_stays_occupied_until_its_last_robot_leaves(self):
+        trace = [
+            look(0, 0, (0, 0)), look(1, 1, (0, 0)),  # two robots on one cell
+            move(2, 0, (0, 0), (1, 0)),              # one of them leaves
+            look(3, 2, (2, 0)),
+            move(4, 2, (2, 0), (0, 0)),              # robot 1 is still there
+            move(5, 1, (0, 0), (0, 1)),
+            move(6, 2, (0, 0), (0, 2)),
+            look(7, 3, (0, 0)),                      # now the cell is free
+        ]
+        expected = assert_same_replay(trace)
+        assert [(i, rule) for i, rule, _ in expected] == [
+            (1, "collision"), (4, "collision")]
+
+    def test_random_event_sequences(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            where, trace = {}, []
+            for index in range(rng.randint(1, 40)):
+                robot = rng.randrange(5)
+                here = where.setdefault(robot, (rng.randrange(3),
+                                                rng.randrange(3)))
+                if rng.random() < 0.5:
+                    trace.append(look(index, robot, here))
+                else:
+                    dest = (rng.randrange(3), rng.randrange(3))
+                    trace.append(move(index, robot, here, dest))
+                    where[robot] = dest
+            assert_same_replay(trace)
 
 
 class TestFormed:
