@@ -112,12 +112,13 @@ def _snake_indices(points: frozenset, m: int, n: int) -> list:
     return idx
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _target_indices(t: TargetPattern, m: int, n: int) -> tuple:
-    """``_snake_indices`` of C'' on the (m, n) path, derived once per
-    (t, m, n): a run's phase 4 plans share one path, so a few entries serve
-    a batch of runs. A point off the path raises; an exception is never
-    cached."""
+    """``_snake_indices`` of C'' on the (m, n) path. Phase 4 keeps the head
+    and the tail, so every P4 plan of a run asks for the same (t, m, n) and
+    runs are simulated one at a time: one entry serves, and a run misses
+    once, on its first P4 plan. A point off the path raises; an exception
+    is never cached."""
     return tuple(_snake_indices(t.c_double_prime, m, n))
 
 
@@ -220,20 +221,15 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
             raise
         return StepPlan(formed=False, phase=None, moves={},
                         stuck_symmetric=True)
-    if len(frames) == 1:  # map back through the transpose, inlined
-        a, b, c, d, tx, ty = frames[0]
-        ux, uy = -(a * tx + c * ty), -(b * tx + d * ty)
-        return StepPlan(False, phase, {
-            (a * x + c * y + ux, b * x + d * y + uy):
-            (a * u + c * v + ux, b * u + d * v + uy)
-            for (x, y), (u, v) in fm.items()})
-    f = frames[0]
-    moves = {from_frame_coords(src, f): from_frame_coords(dst, f)
-             for src, dst in fm.items()}
+    # map back through the first frame's transpose, the frame unpacked once
+    a, b, c, d, tx, ty = frames[0]
+    ux, uy = -(a * tx + c * ty), -(b * tx + d * ty)
+    moves = {(a * x + c * y + ux, b * x + d * y + uy):
+             (a * u + c * v + ux, b * u + d * v + uy)
+             for (x, y), (u, v) in fm.items()}
     for g in frames[1:]:
         other = {from_frame_coords(src, g): from_frame_coords(dst, g)
                  for src, dst in fm.items()}
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
-    return StepPlan(formed=False, phase=phase, moves=moves,
-                    stuck_symmetric=not moves)
+    return StepPlan(False, phase, moves, len(frames) > 1 and not moves)

@@ -116,6 +116,13 @@ def real_traces(count, seed):
 
 
 class TestCollisionReplayMatchesReference:
+    def test_event_fields_the_replay_reads(self):
+        """``check_collision_free`` reads an event's first five fields by
+        position; a reordered ``Event`` must fail here, not as a malformed
+        trace."""
+        assert Event._fields[:5] == (
+            "index", "robot", "kind", "pos_before", "pos_after")
+
     def test_real_traces(self):
         for trace in real_traces(30, seed=5):
             assert assert_same_replay(trace) == []
