@@ -129,8 +129,9 @@ def _phase4(cf, cv, t):
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
     # the head holds index 0, which no interior target uses, and the tail is
-    # off the path, so a free index is a free cell
-    return {snake_cell(i, m): snake_cell(j, m)
+    # off the path, so a free index is a free cell (snake_cell, inline)
+    return {(x := i // m, i % m if x % 2 == 0 else m - 1 - i % m):
+            (u := j // m, j % m if u % 2 == 0 else m - 1 - j % m)
             for i, j in pf_on_path_moves(robot_idx, target_idx).items()}
 
 

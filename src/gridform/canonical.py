@@ -32,10 +32,16 @@ class CornerString:
 
 def _scan_specs(occupied: frozenset):
     """All (corner, x_row, y_row, short_len) scans of the bounding rectangle
-    of ``occupied``, corner by corner. The scan's frame maps ``corner`` to
-    the origin, its ``x_row`` (the direction scan lines advance in) to +x
-    and its ``y_row`` (the scanned side) to +y. A line has no scanned side:
-    its y row is the local +y when the line is horizontal, else +x."""
+    of ``occupied``. The scan's frame maps ``corner`` to the origin, its
+    ``x_row`` (the direction scan lines advance in) to +x and its ``y_row``
+    (the scanned side) to +y. A line has no scanned side: its y row is the
+    local +y when the line is horizontal, else +x.
+
+    The list is in mate order: ``specs[-1 - i]`` is the mate of
+    ``specs[i]``, the scan from the opposite corner (the other end of a
+    line) with the x row reversed, which reads the cells in reverse order.
+    ``specs[0]`` and ``specs[-1]`` sit at the (min, min) and (max, max)
+    corners."""
     try:
         xs, ys = zip(*occupied)
     except ValueError:
@@ -57,8 +63,8 @@ def _scan_specs(occupied: frozenset):
     # a square: both scans per corner
     return [((x0, y0), (1, 0), (0, 1), w), ((x0, y0), (0, 1), (1, 0), w),
             ((x1, y0), (-1, 0), (0, 1), w), ((x1, y0), (0, 1), (-1, 0), w),
-            ((x0, y1), (1, 0), (0, -1), w), ((x0, y1), (0, -1), (1, 0), w),
-            ((x1, y1), (-1, 0), (0, -1), w), ((x1, y1), (0, -1), (-1, 0), w)]
+            ((x0, y1), (0, -1), (1, 0), w), ((x0, y1), (1, 0), (0, -1), w),
+            ((x1, y1), (0, -1), (-1, 0), w), ((x1, y1), (-1, 0), (0, -1), w)]
 
 
 def _scan_key(occupied: frozenset, spec) -> tuple:
@@ -84,11 +90,18 @@ def _scan_frame(spec) -> Isometry:
 def collinear(points: Iterable[Point]) -> bool:
     """True iff the set ``points`` lies on one grid row or one grid column
     (a single point does): such a set has no Y-axis agreement."""
-    try:
-        x0, y0 = next(iter(points))
-    except StopIteration:
-        raise ValueError("empty configuration") from None
-    return all(x == x0 for x, _ in points) or all(y == y0 for _, y in points)
+    it = iter(points)
+    for x0, y0 in it:
+        break
+    else:
+        raise ValueError("empty configuration")
+    row = column = True
+    for x, y in it:
+        row = row and y == y0
+        column = column and x == x0
+        if not (row or column):
+            return False
+    return True
 
 
 def corner_strings(c: Iterable[Point]) -> list[CornerString]:
@@ -117,7 +130,10 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     """One frame per corner string achieving the lexicographic maximum,
     ordered by origin, then by x direction. A string starting with a 1 beats
     every string starting with a 0, so only scans from occupied corners are
-    keyed when there are any, and a lone one needs no key.
+    keyed when there are any, and a lone one needs no key. A scan and its
+    mate read the same cells in opposite orders, so of each pair whose
+    corners are both occupied only one key is sorted: the other is its
+    reversed complement.
 
     A frame maps ``c`` into its canonical coordinates: the scan's corner to
     the origin, its x row to +x and its y row to +y. A collinear ``c`` (or a
@@ -128,14 +144,22 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     """
     occupied = frozenset(c)
     specs = _scan_specs(occupied)
-    lead = [spec for spec in specs if spec[0] in occupied] or specs
+    last = len(specs) - 1
+    lead = [i for i in range(last + 1) if specs[i][0] in occupied] \
+        or range(last + 1)
     if len(lead) > 1:
-        keys = [_scan_key(occupied, spec) for spec in lead]
-        best = min(keys)
-        lead = [spec for spec, key in zip(lead, keys) if key == best]
-        if len(lead) > 1:
-            lead.sort()  # by corner, then by x row: unique per scan
-    return [_scan_frame(spec) for spec in lead]
+        (x0, y0), (x1, y1) = specs[0][0], specs[-1][0]
+        top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1  # the last index of a scan
+        keys = {}
+        for i in lead:
+            mate = keys.get(last - i)
+            keys[i] = (_scan_key(occupied, specs[i]) if mate is None
+                       else tuple([top - v for v in reversed(mate)]))
+        best = min(keys.values())
+        lead = [i for i, key in keys.items() if key == best]
+        if len(lead) > 1:  # by corner, then by x row: unique per scan
+            lead.sort(key=specs.__getitem__)
+    return [_scan_frame(specs[i]) for i in lead]
 
 
 def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:

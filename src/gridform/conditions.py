@@ -44,11 +44,17 @@ def has_horizontal_reflection(points: frozenset) -> bool:
 
 
 def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
-    """Evaluate C0..C7 for a configuration expressed in canonical coordinates."""
-    if len(cf) != len(t.points):
+    """Evaluate C0..C7 for a configuration expressed in canonical coordinates.
+
+    Needs at least 2 robots: C' of a single robot is empty, and a single
+    robot in canonical coordinates is always formed (C0)."""
+    k = len(cf)
+    if k != len(t.points):
         raise ValueError(
-            f"configuration has {len(cf)} robots but the target has {len(t.points)}"
+            f"configuration has {k} robots but the target has {len(t.points)}"
         )
+    if k < 2:
+        raise ValueError("conditions need at least 2 robots")
     order = sorted(cf)  # scan order of the canonical string
     head, tail = order[0], order[-1]
     # sorted by x, so the ends give the widths; C' is the order without the
@@ -57,18 +63,21 @@ def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
     lo, hi = min(ys), max(ys)
     n, H = tail[0] - head[0] + 1, order[-2][0] - head[0] + 1
     m, V = max(hi, tail[1]) - min(lo, tail[1]) + 1, hi - lo + 1
-    # c1 and c7: equal sizes (k-1, k-2), so a subset test is set equality
-    c_prime = cf - {tail}
-    dp = c_prime - {head}
+    # C0, C1 and C7 ask which robots are off the target: none, at most the
+    # tail, at most the head and the tail; and C1 and C7 that no other
+    # robot holds a target end they name
+    off = cf - t.points
+    ends, h_target, t_target = (head, tail), t.h_target, t.t_target
     return ConditionVector(  # positional, in field order: c0..c7, sizes, ends
-        cf == t.points,
-        c_prime <= t.points and t.t_target not in c_prime,
-        tail[1] == t.t_target[1],
+        not off,
+        off <= {tail} and (t_target == tail or t_target not in cf),
+        tail[1] == t_target[1],
         n >= max(t.M, m) + 2,
         n >= 2 * max(t.N, H),
         head == (0, 0),
         m >= max(t.M, V) + 1,
-        dp <= t.points and t.h_target not in dp and t.t_target not in dp,
+        off <= {head, tail} and (t_target in ends or t_target not in cf)
+        and (h_target in ends or h_target not in cf),
         m, n, H, V, head, tail,
     )
 

@@ -155,6 +155,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     since = [None] * k    # index of that Look
     positions = initial
     plans: dict = {}
+    event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
 
     index = 0
     while True:
@@ -177,12 +178,13 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                 since[rid] = index
                 all_formed = all_formed and plan.formed
                 any_stuck = any_stuck or plan.stuck_symmetric
-                trace.append(Event(index, rid, LOOK, here, None, plan.phase))
+                trace.append(event(Event, (index, rid, LOOK, here, None,
+                                           plan.phase, None)))
             else:
                 dest, pending[rid] = pending[rid], None
-                trace.append(Event(index, rid, MOVE, here,
-                                   here if dest is None else dest, None,
-                                   since[rid]))
+                trace.append(event(Event, (index, rid, MOVE, here,
+                                           here if dest is None else dest,
+                                           None, since[rid])))
                 if dest is not None:
                     if dest != here and dest in positions:
                         return Outcome("FAULT", trace, index + 1, positions,

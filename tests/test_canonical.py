@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridform import canonical
 from gridform.canonical import (
     _scan_key,
     _scan_specs,
@@ -324,6 +325,60 @@ class TestCanonicalFrames:
         # plan_moves computes the conditions and the rule on one image
         images = {to_frame_coords(c, f) for f in canonical_frames(c)}
         assert len(images) == 1
+
+
+class TestScanMates:
+    """``canonical_frames`` takes the key of ``specs[-1 - i]``, the mate of
+    ``specs[i]``, as the reversed complement of the key of ``specs[i]``."""
+
+    @settings(max_examples=300)
+    @given(c=st.one_of(corner_points(), points_strategy, wide_sparse_points()))
+    @example(c=frozenset({(3, -2)}))
+    @example(c=LINE_1101)
+    @example(c=frozenset({(2, 0), (2, 1), (2, 3)}))
+    @example(c=TROMINO_2x2)
+    def test_mate_key_is_the_reversed_complement(self, c):
+        r = bounding_rect(c)
+        top = r.width_pts * r.height_pts - 1
+        specs = _scan_specs(c)
+        for i, spec in enumerate(specs):
+            mate = specs[-1 - i]
+            key = _scan_key(c, spec)
+            assert _scan_key(c, mate) == tuple(top - v for v in reversed(key))
+            if len(specs) > 1:  # else the single point is its own mate
+                (cx, cy), (lx, ly), _, _ = spec
+                assert mate[0] == (r.min[0] + r.max[0] - cx,
+                                   r.min[1] + r.max[1] - cy)
+                assert mate[1] == (-lx, -ly)
+
+    @pytest.mark.parametrize("c", [
+        TROMINO_2x2,
+        frozenset({(0, 0), (4, 0), (0, 4), (4, 4), (2, 1)}),
+        frozenset({(1, 0), (4, 1), (0, 3), (3, 4)}),
+    ])
+    def test_each_square_scan_has_exactly_one_mate(self, c, monkeypatch):
+        specs = _scan_specs(c)
+        assert len(set(specs)) == 8
+        r = bounding_rect(c)
+        for i, ((cx, cy), (lx, ly), _, _) in enumerate(specs):
+            opposite = (r.min[0] + r.max[0] - cx, r.min[1] + r.max[1] - cy)
+            mates = [j for j, s in enumerate(specs)
+                     if s[0] == opposite and s[1] == (-lx, -ly)]
+            assert mates == [7 - i]
+        # keyed: one scan of each pair whose corners are both occupied
+        keyed = []
+        key = canonical._scan_key
+
+        def counted_key(occupied, spec):
+            keyed.append(spec)
+            return key(occupied, spec)
+
+        monkeypatch.setattr(canonical, "_scan_key", counted_key)
+        frames = canonical_frames(c)
+        lead = [i for i, s in enumerate(specs) if s[0] in c] or range(8)
+        assert sorted(specs.index(s) for s in keyed) == \
+            [i for i in lead if 7 - i not in lead or i < 7 - i]
+        assert frames == reference_frames(c)
 
 
 class TestWideSparseRectangles:

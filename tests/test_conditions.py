@@ -151,3 +151,67 @@ def test_subset_forms_of_c1_and_c7_equal_set_equality():
         hits["c1"] += c1
         hits["c7"] += c7
     assert min(hits.values()) > 100
+
+
+def reference_c0_c1_c7(cf, t):
+    """C0, C1 and C7 as subset tests on copies of C' and C''."""
+    order = sorted(cf)
+    head, tail = order[0], order[-1]
+    c_prime = cf - {tail}
+    dp = c_prime - {head}
+    return (cf == t.points,
+            c_prime <= t.points and t.t_target not in c_prime,
+            dp <= t.points and t.h_target not in dp and t.t_target not in dp)
+
+
+def test_one_set_difference_matches_the_subset_forms():
+    """C0, C1 and C7 from ``cf - t.points`` against the subset forms, on
+    canonical configurations, on targets with a few robots moved off and
+    on configurations whose head or tail holds a target end."""
+    from gridform.algorithm import plan_moves
+    from gridform.canonical import canonical_frames, to_frame_coords
+    from gridform.sampling import random_points
+
+    rng = random.Random(20261018)
+    box = [(x, y) for x in range(-1, 9) for y in range(-1, 9)]
+    hits = dict.fromkeys(("c0", "c1", "c7", "end_on_end", "ends_decide"), 0)
+    for i in range(3000):
+        k = 1 + i % 8
+        t = canonicalize_target(random_points(k, 7, rng))
+        mode = i // 8 % 3
+        if mode == 0:  # a canonical configuration
+            c = random_points(k, 7, rng)
+            cf = to_frame_coords(c, canonical_frames(c)[0])
+        elif mode == 1:  # the target with up to 3 robots moved
+            cf = set(rng.sample(sorted(t.points), k - rng.randint(0, min(3, k))))
+            while len(cf) < k:
+                cf.add(rng.choice(box))
+        else:  # a target end held by the head or by the tail
+            end = rng.choice([t.h_target, t.t_target])
+            as_head = rng.random() < 0.5
+            cf = {end}
+            if as_head:
+                pool = [p for p in sorted(t.points) + box if p > end]
+            else:
+                pool = [p for p in sorted(t.points) + box if p < end]
+            while len(cf) < k and pool:
+                cf.add(pool[min(int(rng.expovariate(0.3)), len(pool) - 1)])
+            if len(cf) < k:
+                continue
+        cf = frozenset(cf)
+        if k == 1:  # conditions need 2 robots; plan_moves never asks
+            with pytest.raises(ValueError, match="at least 2 robots"):
+                evaluate_conditions(cf, t)
+            assert plan_moves(cf, t).formed
+            continue
+        cv = evaluate_conditions(cf, t)
+        c0, c1, c7 = reference_c0_c1_c7(cf, t)
+        assert (cv.c0, cv.c1, cv.c7) == (c0, c1, c7), (sorted(cf), t)
+        hits["c0"] += c0
+        hits["c1"] += c1
+        hits["c7"] += c7
+        ends = {cv.head, cv.tail}
+        hits["end_on_end"] += bool(ends & {t.h_target, t.t_target})
+        # C'' lies on the target, yet a target end decides C7
+        hits["ends_decide"] += (cf - t.points <= ends and not c7)
+    assert min(hits.values()) > 20, hits

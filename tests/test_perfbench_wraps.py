@@ -4,23 +4,58 @@ renaming or deleting one fails the tests instead of silently dropping the
 per-layer metrics built on it."""
 
 import importlib
+import random
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_wraps():
+def load_tracer() -> dict:
     # execute the source in a fresh namespace: nothing is imported as a
     # package and no bytecode is written next to the benchmark
     namespace = {"__name__": "perfbench_tracer"}
     exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
-    return namespace["WRAPS"]
+    return namespace
 
 
 def test_every_wrapped_name_exists():
-    wraps = load_wraps()
+    wraps = load_tracer()["WRAPS"]
     assert wraps
     missing = [f"gridform.{short}.{attr}" for short, attr, _, _ in wraps
                if not hasattr(importlib.import_module(f"gridform.{short}"),
                               attr)]
     assert missing == []
+
+
+# every span a BENCHMARK.json per-layer metric is computed from
+SPANS = ["scheduler.run", "algorithm.plan", "canonical.frames",
+         "algorithm.frame_coords", "conditions.evaluate",
+         "conditions.classify", "algorithm.rule.P4", "verify.collision",
+         "verify.transitions", "verify.formed", "geometry.similar",
+         "target.canonicalize"]
+
+
+def test_traced_runs_record_every_per_layer_span():
+    """A wrapped name that still exists but is no longer called (a call
+    rerouted around it) records no span, and its metrics read absent."""
+    names = ("sampling", "scheduler", "target", "verify", "algorithm")
+    modules = {name: importlib.import_module(f"gridform.{name}")
+               for name in names}
+    sampling, scheduler, target, verify, _ = modules.values()
+    tracer = load_tracer()["Tracer"](modules)
+    rng = random.Random(3)
+    with tracer.installed():
+        for i in range(6):  # as perfbench/run.py draws and checks a run
+            k = rng.randint(3, 8)
+            with tracer.run(i):
+                config = sampling.random_asymmetric_config(k, 8, rng)
+                pattern = target.canonicalize_target(
+                    sampling.random_points(k, 8, rng))
+                kind = ("random", "round_robin", "max_stale")[i % 3]
+                out = scheduler.run(config, pattern,
+                                    scheduler.make_adversary(kind, 4 * k, i))
+                assert out.kind == "FORMED"
+                assert verify.check_collision_free(out.trace).passed
+                assert verify.check_phase_transitions(out.trace).passed
+                assert verify.check_formed(out.final, pattern).passed
+    assert [name for name in SPANS if name not in tracer.totals] == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -113,6 +114,24 @@ def real_traces(count, seed):
         target = canonicalize_target(random_points(k, 8, rng))
         kind = ("random", "round_robin", "max_stale")[i % 3]
         yield run(config, target, make_adversary(kind, 4 * k, i)).trace
+
+
+class TestTracePin:
+    """A pin on whole seeded traces: any change to a plan, the event order,
+    an event's fields or how an event is built changes the digest."""
+
+    DIGEST = "24d22c0ef0bb910e"
+
+    def test_traces_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        events = 0
+        for trace in real_traces(30, seed=11):
+            for ev in trace:
+                assert type(ev) is Event and len(ev) == 7
+                h.update(repr(ev).encode() + b"\n")
+                events += 1
+        assert events == 11856
+        assert h.hexdigest()[:16] == self.DIGEST
 
 
 class TestCollisionReplayMatchesReference:
