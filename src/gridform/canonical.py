@@ -91,10 +91,10 @@ def collinear(points: Iterable[Point]) -> bool:
     """True iff the set ``points`` lies on one grid row or one grid column
     (a single point does): such a set has no Y-axis agreement."""
     it = iter(points)
-    for x0, y0 in it:
-        break
-    else:
-        raise ValueError("empty configuration")
+    try:
+        x0, y0 = next(it)
+    except StopIteration:
+        raise ValueError("empty configuration") from None
     row = column = True
     for x, y in it:
         row = row and y == y0
@@ -144,15 +144,14 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     """
     occupied = frozenset(c)
     specs = _scan_specs(occupied)
-    last = len(specs) - 1
-    lead = [i for i in range(last + 1) if specs[i][0] in occupied] \
-        or range(last + 1)
+    n = len(specs)
+    lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
     if len(lead) > 1:
         (x0, y0), (x1, y1) = specs[0][0], specs[-1][0]
         top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1  # the last index of a scan
         keys = {}
         for i in lead:
-            mate = keys.get(last - i)
+            mate = keys.get(n - 1 - i)
             keys[i] = (_scan_key(occupied, specs[i]) if mate is None
                        else tuple([top - v for v in reversed(mate)]))
         best = min(keys.values())
