@@ -9,6 +9,7 @@ alone, so the whole pipeline lives in pure functions of point sets.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .canonical import canonical_frames, from_frame_coords, to_frame_coords
@@ -113,25 +114,38 @@ def _snake_indices(points: frozenset, m: int, n: int) -> list:
 
 
 @lru_cache(maxsize=1)
-def _target_indices(t: TargetPattern, m: int, n: int) -> tuple:
-    """``_snake_indices`` of C'' on the (m, n) path. Phase 4 keeps the head
-    and the tail, so every P4 plan of a run asks for the same (t, m, n) and
-    runs are simulated one at a time: one entry serves, and a run misses
-    once, on its first P4 plan. A point off the path raises; an exception
-    is never cached."""
-    return tuple(_snake_indices(t.c_double_prime, m, n))
+def _path_table(t: TargetPattern, m: int, n: int) -> tuple:
+    """Phase 4's (m, n) snake path as ``(index, cell, target_idx)``: the
+    cell -> index dict, the index -> cell tuple and the sorted indices of
+    C''. Phase 4 keeps the head and the tail, so every P4 plan of a run
+    asks for the same (t, m, n) and runs are simulated one at a time: one
+    entry serves, and a run misses once, on its first P4 plan. A point of
+    C'' off the path raises; an exception is never cached."""
+    target_idx = tuple(_snake_indices(t.c_double_prime, m, n))
+    up, down = range(m), range(m - 1, -1, -1)
+    cell = tuple(chain.from_iterable(
+        zip(repeat(x, m), down if x % 2 else up) for x in range(n)))
+    return dict(zip(cell, range(m * n))), cell, target_idx
 
 
 def _phase4(cf, cv, t):
     m, n = cv.m - 1, cv.n // 2
-    robot_idx = _snake_indices(cf - {cv.head, cv.tail}, m, n)
-    target_idx = _target_indices(t, m, n)
+    inner = cf - {cv.head, cv.tail}
+    try:
+        index, cell, target_idx = _path_table(t, m, n)
+    except RuleViolation:
+        _snake_indices(inner, m, n)  # a robot off the path is named first
+        raise
+    try:
+        robot_idx = sorted(map(index.__getitem__, inner))
+    except KeyError:
+        off = next(p for p in inner if p not in index)
+        raise RuleViolation(f"point off the phase 4 path: {off}") from None
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
     # the head holds index 0, which no interior target uses, and the tail is
-    # off the path, so a free index is a free cell (snake_cell, inline)
-    return {(x := i // m, i % m if x % 2 == 0 else m - 1 - i % m):
-            (u := j // m, j % m if u % 2 == 0 else m - 1 - j % m)
+    # off the path, so a free index is a free cell
+    return {cell[i]: cell[j]
             for i, j in pf_on_path_moves(robot_idx, target_idx).items()}
 
 

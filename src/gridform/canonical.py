@@ -133,7 +133,8 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     keyed when there are any, and a lone one needs no key. A scan and its
     mate read the same cells in opposite orders, so of each pair whose
     corners are both occupied only one key is sorted: the other is its
-    reversed complement.
+    reversed complement, compared index by index up to the first
+    difference and built only when it is the smaller.
 
     A frame maps ``c`` into its canonical coordinates: the scan's corner to
     the origin, its x row to +x and its y row to +y. A collinear ``c`` (or a
@@ -149,13 +150,28 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     if len(lead) > 1:
         (x0, y0), (x1, y1) = specs[0][0], specs[-1][0]
         top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1  # the last index of a scan
-        keys = {}
+        best, won = None, []
         for i in lead:
-            mate = keys.get(n - 1 - i)
-            keys[i] = (_scan_key(occupied, specs[i]) if mate is None
-                       else tuple([top - v for v in reversed(mate)]))
-        best = min(keys.values())
-        lead = [i for i, key in keys.items() if key == best]
+            j = n - 1 - i
+            paired = j in lead
+            if paired and j < i:
+                continue  # already compared with its mate
+            key, win = _scan_key(occupied, specs[i]), [i]
+            if paired:  # the mate's key[u] is top - key[-1 - u]
+                for u, v in enumerate(key):
+                    w = top - key[-1 - u]
+                    if w != v:
+                        if w < v:  # the mate wins: build its key
+                            key = tuple([top - e for e in reversed(key)])
+                            win = [j]
+                        break
+                else:
+                    win.append(j)
+            if best is None or key < best:
+                best, won = key, win
+            elif key == best:
+                won += win
+        lead = won
         if len(lead) > 1:  # by corner, then by x row: unique per scan
             lead.sort(key=specs.__getitem__)
     return [_scan_frame(specs[i]) for i in lead]

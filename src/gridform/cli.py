@@ -215,7 +215,9 @@ def cmd_analyze(args) -> int:
         if len(raw_target) != len(config):
             raise CliError("configuration and target sizes differ")
         target = canonicalize_target(raw_target)
-        if len(frames) == 1 and len(config) >= 2:
+        if len(config) == 1:
+            print("phase: DONE")  # one robot is always formed
+        elif len(frames) == 1:
             cf = to_frame_coords(config, frames[0])
             cv = evaluate_conditions(cf, target)
             for i in range(8):

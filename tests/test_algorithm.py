@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gridform.algorithm import (
     RuleViolation,
+    _path_table,
     _snake_indices,
-    _target_indices,
     pf_on_path_moves,
     phase_moves,
     plan_moves,
@@ -17,7 +17,7 @@ from gridform.algorithm import (
     snake_index,
 )
 from gridform.canonical import canonical_frames, is_asymmetric
-from gridform.conditions import evaluate_conditions
+from gridform.conditions import ConditionVector, evaluate_conditions
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.target import canonicalize_target
@@ -231,8 +231,8 @@ class TestPhaseRules:
 
 
 class TestTargetIndexCache:
-    """Phase 4 reads the target's snake indices through a bounded cache
-    keyed by (target, m, n)."""
+    """Phase 4 reads the target's snake indices from the path table, a
+    bounded cache keyed by (target, m, n)."""
 
     def test_cached_indices_equal_a_fresh_derivation(self):
         rng = random.Random(10)
@@ -240,11 +240,11 @@ class TestTargetIndexCache:
             t = canonicalize_target(
                 random_points(rng.randint(3, 9), rng.randint(3, 8), rng))
             m, n = rng.randint(t.M, t.M + 4), rng.randint(t.N, t.N + 4)
-            first = _target_indices(t, m, n)
-            assert isinstance(first, tuple)
-            assert first == tuple(_snake_indices(t.c_double_prime, m, n))
-            assert _target_indices(t, m, n) is first  # a hit
-        assert _target_indices.cache_info().maxsize is not None
+            first = _path_table(t, m, n)
+            assert isinstance(first[2], tuple)
+            assert first[2] == tuple(_snake_indices(t.c_double_prime, m, n))
+            assert _path_table(t, m, n) is first  # a hit
+        assert _path_table.cache_info().maxsize is not None
 
     def test_target_point_off_the_path_raises_on_every_call(self):
         rng = random.Random(11)
@@ -260,8 +260,52 @@ class TestTargetIndexCache:
                 continue
             for _ in range(3):
                 with pytest.raises(RuleViolation, match="off the phase 4 path"):
-                    _target_indices(t, t.M, n)
+                    _path_table(t, t.M, n)
             checked += 1
+
+
+class TestPathTable:
+    """The cached cell -> index dict and index -> cell tuple of phase 4's
+    snake path against the closed forms ``snake_index`` and ``snake_cell``."""
+
+    def test_tables_match_the_closed_forms(self):
+        rng = random.Random(12)
+        sizes = [(1, 1), (1, 7), (6, 1)] + [
+            (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)]
+        t = canonicalize_target({(0, 0), (1, 0)})  # C'' is empty
+        for m, n in sizes:
+            index, cell, target_idx = _path_table(t, m, n)
+            assert isinstance(cell, tuple) and target_idx == ()
+            assert len(cell) == len(index) == m * n
+            assert cell == tuple(snake_cell(i, m) for i in range(m * n))
+            assert index == {p: snake_index(p, m, n) for p in cell}
+            assert all(cell[i] == p for p, i in index.items())
+            assert not {(-1, 0), (0, -1), (n, 0), (0, m)} & index.keys()
+
+    def test_cache_keeps_one_entry(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            t = canonicalize_target(random_points(5, 4, rng))
+            _path_table(t, t.M + rng.randint(0, 3), t.N + rng.randint(0, 3))
+        info = _path_table.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+    def test_off_the_path_names_the_same_point(self):
+        """A robot off the path raises the message ``_snake_indices`` gives
+        for it, on every call, and before a target point off the path."""
+        t = canonicalize_target({(0, 0), (1, 1), (2, 2), (3, 0)})
+        for m, strays in [(4, [(4, 0)]), (4, [(0, 3), (-1, 1), (9, 9)]),
+                          (2, [(5, 5)]), (2, [])]:
+            cv = ConditionVector(*[False] * 8, m=m, n=8, H=0, V=0,
+                                 head=(0, 0), tail=(7, 0))
+            inner = frozenset({(1, 0), (2, 0), *strays})
+            with pytest.raises(RuleViolation) as want:
+                _snake_indices(inner if strays else t.c_double_prime,
+                               m - 1, 4)
+            for _ in range(2):
+                with pytest.raises(RuleViolation) as err:
+                    phase_moves(inner | {cv.head, cv.tail}, cv, "P4", t)
+                assert str(err.value) == str(want.value)
 
 
 class TestPlanProperties:

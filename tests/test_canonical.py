@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gridform import canonical
 from gridform.canonical import (
+    _scan_frame,
     _scan_key,
     _scan_specs,
     brute_force_symmetries,
@@ -379,6 +380,72 @@ class TestScanMates:
         assert sorted(specs.index(s) for s in keyed) == \
             [i for i in lead if 7 - i not in lead or i < 7 - i]
         assert frames == reference_frames(c)
+
+
+def reference_lead(c):
+    """The parent's selection loop: of each pair whose corners are both
+    occupied, one key is sorted and the mate's reversed complement is
+    always built in full."""
+    occupied = frozenset(c)
+    specs = _scan_specs(occupied)
+    n = len(specs)
+    lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
+    if len(lead) > 1:
+        (x0, y0), (x1, y1) = specs[0][0], specs[-1][0]
+        top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1
+        keys = {}
+        for i in lead:
+            mate = keys.get(n - 1 - i)
+            keys[i] = (_scan_key(occupied, specs[i]) if mate is None
+                       else tuple([top - v for v in reversed(mate)]))
+        best = min(keys.values())
+        lead = [i for i, key in keys.items() if key == best]
+        if len(lead) > 1:
+            lead.sort(key=specs.__getitem__)
+    return [_scan_frame(specs[i]) for i in lead]
+
+
+class TestLazyMate:
+    """``canonical_frames`` compares a key with its mate's index by index
+    and builds the mate's key only when the mate wins. It must choose the
+    frames ``reference_lead`` chooses."""
+
+    @pytest.mark.parametrize("c, frames, pairs", [
+        ({(0, 0), (4, 2), (1, 1), (3, 2)}, 1, 1),
+        ({(0, 0), (4, 2), (2, 1)}, 2, 1),
+        ({(0, 0), (4, 0), (0, 2), (4, 2), (1, 0)}, 1, 2),
+        ({(0, 0), (4, 0), (0, 2), (4, 2)}, 4, 2),
+        ({(0, 0), (4, 0), (0, 4), (4, 4), (1, 0)}, 1, 4),
+        ({(0, 0), (2, 0), (0, 2), (2, 2)}, 8, 4),
+        (TROMINO_2x2, 2, 2),
+        (LINE_1101, 1, 1),
+        ({(0, 0), (1, 0), (3, 0), (4, 0)}, 2, 1),
+        ({(2, 0), (2, 1), (2, 3)}, 1, 1),
+        ({(3, -2)}, 1, 0),
+        ({(1, 0), (4, 1), (0, 3), (3, 4)}, 4, 0),
+    ], ids=["one-pair", "one-pair-tied", "two-pairs", "two-pairs-tied",
+            "four-pairs", "four-pairs-tied", "tromino", "line", "line-tied",
+            "column", "point", "no-corner"])
+    def test_cases_match_the_reference(self, c, frames, pairs):
+        """Each case and its half turn, which swaps every scan with its
+        mate, so a pair is won once by the keyed scan and once by its
+        mate."""
+        c = frozenset(c)
+        specs = _scan_specs(c)
+        n = len(specs)
+        lead = [i for i in range(n) if specs[i][0] in c]
+        assert len([i for i in lead
+                    if i < n - 1 - i and n - 1 - i in lead]) == pairs
+        for case in (c, Isometry(-1, 0, 0, -1).apply_set(c)):
+            got = canonical_frames(case)
+            assert len(got) == frames
+            assert got == reference_lead(case)
+
+    @settings(max_examples=400)
+    @given(c=st.one_of(corner_points(), points_strategy, wide_sparse_points(),
+                       symmetric_points()))
+    def test_frames_match_the_reference(self, c):
+        assert canonical_frames(c) == reference_lead(c)
 
 
 class TestWideSparseRectangles:

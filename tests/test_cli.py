@@ -234,6 +234,31 @@ class TestAnalyzeCommand:
         assert rc == EXIT_OK
         assert "symmetric (duplicate strings" in capsys.readouterr().out
 
+    def test_single_robot_is_formed(self, tmp_path, capsys):
+        """One robot is asymmetric and always formed; only symmetric
+        configurations print the n/a phase."""
+        config_path, target_path = tmp_path / "one.txt", tmp_path / "t.txt"
+        config_path.write_text("3 -2\n")
+        target_path.write_text("0 5\n")
+        assert main(["analyze", "--config", str(config_path),
+                     "--target", str(target_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "asymmetric: yes" in out
+        assert [line for line in out if line.startswith("phase:")] == [
+            "phase: DONE"]
+
+    @pytest.mark.parametrize("points", [
+        "0 0\n1 0\n", "0 0\n2 0\n2 2\n0 2\n"], ids=["pair", "square"])
+    def test_symmetric_phase_is_not_applicable(self, tmp_path, capsys,
+                                               points):
+        config_path, target_path = tmp_path / "c.txt", tmp_path / "t.txt"
+        config_path.write_text(points)
+        target_path.write_text(points)
+        assert main(["analyze", "--config", str(config_path),
+                     "--target", str(target_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "phase: n/a (symmetric configuration)"
+
     def test_missing_file(self, capsys):
         rc = main(["analyze", "--config", "/nonexistent/x.txt"])
         assert rc == EXIT_USAGE

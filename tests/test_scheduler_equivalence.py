@@ -141,3 +141,25 @@ def test_run_matches_reference_from_collinear_starts(kind):
                     positions.add(ev.pos_after)
     # the per-frame fallback for collinear configurations is exercised
     assert collinear > 0
+
+
+@pytest.mark.parametrize("kind", ADVERSARIES)
+def test_event_budget_cuts_run_and_reference_alike(kind):
+    """Every budget from 0 to two rounds (2k events each) stops ``run`` and
+    the reference at the same event with the same trace."""
+    rng = random.Random(5)
+    config = random_asymmetric_config(5, 6, rng)
+    target = canonicalize_target(random_points(5, 6, rng))
+    k, seed = len(config), rng.randrange(2**32)
+    whole = run(config, target, make_adversary(kind, 4 * k, seed))
+    assert whole.kind == "FORMED" and whole.events_used > 4 * k
+    for budget in range(4 * k + 1):
+        got = run(config, target, make_adversary(kind, 4 * k, seed),
+                  max_events=budget)
+        want = reference_run(config, target,
+                             make_adversary(kind, 4 * k, seed),
+                             max_events=budget)
+        assert got.trace == want.trace == whole.trace[:budget]
+        assert (got.kind, got.final, got.events_used) == (
+            want.kind, want.final, want.events_used)
+        assert (got.kind, got.events_used) == ("LIMIT_EXCEEDED", budget)
