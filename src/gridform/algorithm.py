@@ -9,7 +9,7 @@ alone, so the whole pipeline lives in pure functions of point sets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .canonical import canonical_frames, from_frame_coords, to_frame_coords
@@ -113,34 +113,52 @@ def _snake_indices(points: frozenset, m: int, n: int) -> list:
     return idx
 
 
+class _Memo(dict):
+    """A dict that computes a missing value with ``fn`` and keeps it, so a
+    repeated key is one C-level lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+_PREFILL = 1024  # over the 306 cells of the largest benchmark P4 path
+
+
 @lru_cache(maxsize=1)
 def _path_table(t: TargetPattern, m: int, n: int) -> tuple:
-    """Phase 4's (m, n) snake path as ``(index, cell, target_idx)``: the
-    cell -> index dict, the index -> cell tuple and the sorted indices of
-    C''. Phase 4 keeps the head and the tail, so every P4 plan of a run
-    asks for the same (t, m, n) and runs are simulated one at a time: one
-    entry serves, and a run misses once, on its first P4 plan. A point of
-    C'' off the path raises; an exception is never cached."""
+    """Phase 4's (m, n) snake path as ``(index, cell, target_idx)``: memos
+    cell -> index and index -> cell, and the sorted indices of C''. The
+    memos start with the path's first ``_PREFILL`` cells, built without a
+    Python call per cell, and compute any other cell when it is asked for,
+    so a far tail (a path of huge area) costs only the cells robots use.
+    Phase 4 keeps the head and the tail, so every P4 plan of a run asks for
+    the same (t, m, n) and runs are simulated one at a time: one entry
+    serves. A point off the path raises; an exception is never cached."""
+    def index_of(p):
+        i = snake_index(p, m, n)
+        if i is None:
+            raise RuleViolation(f"point off the phase 4 path: {p}")
+        return i
     target_idx = tuple(_snake_indices(t.c_double_prime, m, n))
+    index, cell = _Memo(index_of), _Memo(lambda i: snake_cell(i, m))
     up, down = range(m), range(m - 1, -1, -1)
-    cell = tuple(chain.from_iterable(
-        zip(repeat(x, m), down if x % 2 else up) for x in range(n)))
-    return dict(zip(cell, range(m * n))), cell, target_idx
+    cell.update(enumerate(islice(chain.from_iterable(
+        zip(repeat(x, m), down if x % 2 else up) for x in range(n)),
+        _PREFILL)))
+    index.update(zip(cell.values(), cell))
+    return index, cell, target_idx
 
 
 def _phase4(cf, cv, t):
-    m, n = cv.m - 1, cv.n // 2
-    inner = cf - {cv.head, cv.tail}
-    try:
-        index, cell, target_idx = _path_table(t, m, n)
-    except RuleViolation:
-        _snake_indices(inner, m, n)  # a robot off the path is named first
-        raise
-    try:
-        robot_idx = sorted(map(index.__getitem__, inner))
-    except KeyError:
-        off = next(p for p in inner if p not in index)
-        raise RuleViolation(f"point off the phase 4 path: {off}") from None
+    index, cell, target_idx = _path_table(t, cv.m - 1, cv.n // 2)
+    robot_idx = sorted(map(index.__getitem__, cf - {cv.head, cv.tail}))
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
     # the head holds index 0, which no interior target uses, and the tail is

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridform.algorithm import (
     RuleViolation,
+    _PREFILL,
     _path_table,
     _snake_indices,
     pf_on_path_moves,
@@ -265,22 +267,38 @@ class TestTargetIndexCache:
 
 
 class TestPathTable:
-    """The cached cell -> index dict and index -> cell tuple of phase 4's
-    snake path against the closed forms ``snake_index`` and ``snake_cell``."""
+    """The cached cell -> index and index -> cell memos of phase 4's snake
+    path against the closed forms ``snake_index`` and ``snake_cell``."""
 
-    def test_tables_match_the_closed_forms(self):
+    def test_memos_match_the_closed_forms(self):
         rng = random.Random(12)
-        sizes = [(1, 1), (1, 7), (6, 1)] + [
+        sizes = [(1, 1), (1, 7), (6, 1), (1, 3000), (3000, 1), (40, 40),
+                 (33, 31)] + [
             (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)]
         t = canonicalize_target({(0, 0), (1, 0)})  # C'' is empty
         for m, n in sizes:
             index, cell, target_idx = _path_table(t, m, n)
-            assert isinstance(cell, tuple) and target_idx == ()
-            assert len(cell) == len(index) == m * n
-            assert cell == tuple(snake_cell(i, m) for i in range(m * n))
-            assert index == {p: snake_index(p, m, n) for p in cell}
-            assert all(cell[i] == p for p, i in index.items())
-            assert not {(-1, 0), (0, -1), (n, 0), (0, m)} & index.keys()
+            assert target_idx == ()
+            first = min(m * n, _PREFILL)  # the cells tabled up front
+            assert cell == {i: snake_cell(i, m) for i in range(first)}
+            assert index == {p: i for i, p in cell.items()}
+            asked = [(x, y) for x in range(n) for y in range(m)
+                     if rng.random() < 0.5]
+            rng.shuffle(asked)
+            for p in asked:
+                i = index[p]
+                assert i == snake_index(p, m, n) and cell[i] == p
+                assert snake_cell(i, m) == p and index[cell[i]] == i
+            # the memos add what was asked, never the whole path
+            assert index.keys() == {snake_cell(i, m) for i in range(first)
+                                    } | set(asked)
+            assert cell.keys() == set(index.values())
+            for p in [(-1, 0), (0, -1), (n, 0), (0, m)]:
+                for _ in range(2):
+                    with pytest.raises(RuleViolation) as err:
+                        index[p]
+                    assert str(err.value) == f"point off the phase 4 path: {p}"
+            assert len(index) == len(cell)
 
     def test_cache_keeps_one_entry(self):
         rng = random.Random(13)
@@ -291,11 +309,11 @@ class TestPathTable:
         assert info.maxsize == 1 and info.currsize == 1
 
     def test_off_the_path_names_the_same_point(self):
-        """A robot off the path raises the message ``_snake_indices`` gives
-        for it, on every call, and before a target point off the path."""
+        """A robot or a target point off the path raises the message
+        ``_snake_indices`` gives for it, on every call."""
         t = canonicalize_target({(0, 0), (1, 1), (2, 2), (3, 0)})
         for m, strays in [(4, [(4, 0)]), (4, [(0, 3), (-1, 1), (9, 9)]),
-                          (2, [(5, 5)]), (2, [])]:
+                          (2, [])]:
             cv = ConditionVector(*[False] * 8, m=m, n=8, H=0, V=0,
                                  head=(0, 0), tail=(7, 0))
             inner = frozenset({(1, 0), (2, 0), *strays})
@@ -306,6 +324,24 @@ class TestPathTable:
                 with pytest.raises(RuleViolation) as err:
                     phase_moves(inner | {cv.head, cv.tail}, cv, "P4", t)
                 assert str(err.value) == str(want.value)
+
+    def test_far_tail_costs_no_path_area(self):
+        """A P4 plan with the tail 2e4 cells out (a path of about 2e8
+        cells) allocates for the robots, not for the path."""
+        t = canonicalize_target({(0, 0), (1, 0), (0, 1), (2, 1), (3, 0)})
+        config = {(0, 0), (0, 1), (1, 1), (2, 0), (20000, 19000)}
+        tracemalloc.start()
+        try:
+            plan = plan_moves(config, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.phase == "P4"
+        assert plan.moves == {(1, 1): (1, 0), (2, 0): (2, 1)}
+        assert peak < 512 * 1024  # the whole path would take gigabytes
+        index, cell, _ = _path_table(t, 19000, 10000)
+        # past the tabled cells: the two movers, and their destinations
+        assert len(index) == _PREFILL + 2 and len(cell) == _PREFILL + 4
 
 
 class TestPlanProperties:
