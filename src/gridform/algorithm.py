@@ -102,17 +102,6 @@ def _phase3(cf, cv, t):
     return {tail: (tail[0], tail[1] + dy)}
 
 
-def _snake_indices(points: frozenset, m: int, n: int) -> list:
-    """Sorted ``snake_index`` of every point; a point off the path is a
-    RuleViolation."""
-    idx = sorted([x * m + (y if x % 2 == 0 else m - 1 - y)
-                  if 0 <= x < n and 0 <= y < m else -1 for x, y in points])
-    if idx and idx[0] < 0:
-        off = next(p for p in points if snake_index(p, m, n) is None)
-        raise RuleViolation(f"point off the phase 4 path: {off}")
-    return idx
-
-
 class _Memo(dict):
     """A dict that computes a missing value with ``fn`` and keeps it, so a
     repeated key is one C-level lookup."""
@@ -134,10 +123,10 @@ _PREFILL = 1024  # over the 306 cells of the largest benchmark P4 path
 @lru_cache(maxsize=1)
 def _path_table(t: TargetPattern, m: int, n: int) -> tuple:
     """Phase 4's (m, n) snake path as ``(index, cell, target_idx)``: memos
-    cell -> index and index -> cell, and the sorted indices of C''. The
-    memos start with the path's first ``_PREFILL`` cells, built without a
-    Python call per cell, and compute any other cell when it is asked for,
-    so a far tail (a path of huge area) costs only the cells robots use.
+    cell -> index and index -> cell, and the sorted indices of C'' read
+    through the first. The memos start with the path's first ``_PREFILL``
+    cells, built without a Python call per cell, and compute any other cell
+    when asked, so a far tail (a path of huge area) costs only what is used.
     Phase 4 keeps the head and the tail, so every P4 plan of a run asks for
     the same (t, m, n) and runs are simulated one at a time: one entry
     serves. A point off the path raises; an exception is never cached."""
@@ -146,13 +135,13 @@ def _path_table(t: TargetPattern, m: int, n: int) -> tuple:
         if i is None:
             raise RuleViolation(f"point off the phase 4 path: {p}")
         return i
-    target_idx = tuple(_snake_indices(t.c_double_prime, m, n))
     index, cell = _Memo(index_of), _Memo(lambda i: snake_cell(i, m))
     up, down = range(m), range(m - 1, -1, -1)
     cell.update(enumerate(islice(chain.from_iterable(
         zip(repeat(x, m), down if x % 2 else up) for x in range(n)),
         _PREFILL)))
     index.update(zip(cell.values(), cell))
+    target_idx = tuple(sorted(map(index.__getitem__, t.c_double_prime)))
     return index, cell, target_idx
 
 

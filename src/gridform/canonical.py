@@ -184,9 +184,7 @@ def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:
 
 def from_frame_coords(q: Point, f: Isometry) -> Point:
     """Map frame coordinates back to the coordinates ``f`` was built in."""
-    a, b, c, d, tx, ty = f
-    u, v = q[0] - tx, q[1] - ty
-    return (a * u + c * v, b * u + d * v)
+    return f.inverse().apply(q)
 
 
 def frame_string(c: Iterable[Point], f: Isometry) -> str:

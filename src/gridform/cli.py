@@ -13,7 +13,7 @@ from typing import Iterable, Optional, TextIO
 
 from . import scheduler, verify
 from .canonical import (canonical_frames, collinear, corner_strings,
-                        head_tail, is_asymmetric, to_frame_coords)
+                        head_tail, to_frame_coords)
 from .conditions import (classify_phase, evaluate_conditions,
                          has_horizontal_reflection)
 from .geometry import Point
@@ -60,9 +60,11 @@ def format_config(points: Iterable[Point]) -> str:
 
 def load_config(path: str) -> frozenset:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
     return parse_config(text, source=path)
 
 
@@ -194,13 +196,13 @@ def cmd_analyze(args) -> int:
               f"long {_dir_name(cs.long_dir)}: {cs.bits}")
     best = max(cs.bits for cs in strings)
     print(f"maximal string: {best}")
-    if is_asymmetric(config):
+    frames = canonical_frames(config)
+    if len(frames) == 1:
         print("asymmetric: yes")
     else:
         dupes = sorted({cs.bits for cs in strings
                         if sum(1 for o in strings if o.bits == cs.bits) > 1})
         print(f"symmetric (duplicate strings: {', '.join(dupes)})")
-    frames = canonical_frames(config)
     line = collinear(config)
     for f in frames:
         print(f"frame: origin {f.inverse().apply((0, 0))} "

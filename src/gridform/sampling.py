@@ -7,6 +7,8 @@ from functools import lru_cache
 
 from .canonical import is_asymmetric
 
+MAX_TRIES = 10_000  # samples before ``random_asymmetric_config`` gives up
+
 
 @lru_cache(maxsize=None)
 def _cells(box: int) -> tuple:
@@ -21,12 +23,11 @@ def random_points(k: int, box: int, rng: random.Random) -> frozenset:
     return frozenset(rng.sample(_cells(box), k))
 
 
-def random_asymmetric_config(k: int, box: int, rng: random.Random,
-                             max_tries: int = 10_000) -> frozenset:
+def random_asymmetric_config(k: int, box: int, rng: random.Random) -> frozenset:
     """Rejection-sample an asymmetric configuration of k robots."""
     if k < 3:
         raise ValueError("asymmetric configurations need at least 3 robots")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         c = random_points(k, box, rng)
         if is_asymmetric(c):
             return c

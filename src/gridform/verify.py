@@ -37,6 +37,7 @@ PHASE_EDGES = {
     "P7": {"DONE"},
     "DONE": set(),
 }
+MAX_ORDERS = 6  # activation orders ``oracle_pf_on_path`` samples for k > 3
 
 
 def check_collision_free(trace: Iterable[Event]) -> Verdict:
@@ -118,7 +119,7 @@ class PathOracleResult:
     verdict: Verdict
 
 
-def oracle_pf_on_path(robots: tuple, targets: tuple, max_orders: int = 6,
+def oracle_pf_on_path(robots: tuple, targets: tuple,
                       rng: Optional[random.Random] = None) -> PathOracleResult:
     """Sequentially simulate phase 4's path protocol (``pf_on_path_moves``)
     under several activation orders; every robot must reach its target with
@@ -136,7 +137,7 @@ def oracle_pf_on_path(robots: tuple, targets: tuple, max_orders: int = 6,
         orders = list(itertools.permutations(range(k)))
     else:
         rng = rng or random.Random(0)
-        orders = [tuple(rng.sample(range(k), k)) for _ in range(max_orders)]
+        orders = [tuple(rng.sample(range(k), k)) for _ in range(MAX_ORDERS)]
     total = expected
     for order in orders:
         positions = list(robots)

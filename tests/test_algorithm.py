@@ -11,7 +11,6 @@ from gridform.algorithm import (
     RuleViolation,
     _PREFILL,
     _path_table,
-    _snake_indices,
     pf_on_path_moves,
     phase_moves,
     plan_moves,
@@ -244,7 +243,8 @@ class TestTargetIndexCache:
             m, n = rng.randint(t.M, t.M + 4), rng.randint(t.N, t.N + 4)
             first = _path_table(t, m, n)
             assert isinstance(first[2], tuple)
-            assert first[2] == tuple(_snake_indices(t.c_double_prime, m, n))
+            assert first[2] == tuple(sorted(
+                snake_index(p, m, n) for p in t.c_double_prime))
             assert _path_table(t, m, n) is first  # a hit
         assert _path_table.cache_info().maxsize is not None
 
@@ -309,21 +309,20 @@ class TestPathTable:
         assert info.maxsize == 1 and info.currsize == 1
 
     def test_off_the_path_names_the_same_point(self):
-        """A robot or a target point off the path raises the message
-        ``_snake_indices`` gives for it, on every call."""
+        """A robot or a target point off the path raises a message that
+        names the first such point of its set, on every call."""
         t = canonicalize_target({(0, 0), (1, 1), (2, 2), (3, 0)})
         for m, strays in [(4, [(4, 0)]), (4, [(0, 3), (-1, 1), (9, 9)]),
                           (2, [])]:
             cv = ConditionVector(*[False] * 8, m=m, n=8, H=0, V=0,
                                  head=(0, 0), tail=(7, 0))
             inner = frozenset({(1, 0), (2, 0), *strays})
-            with pytest.raises(RuleViolation) as want:
-                _snake_indices(inner if strays else t.c_double_prime,
-                               m - 1, 4)
+            off = next(p for p in (inner if strays else t.c_double_prime)
+                       if snake_index(p, m - 1, 4) is None)
             for _ in range(2):
                 with pytest.raises(RuleViolation) as err:
                     phase_moves(inner | {cv.head, cv.tail}, cv, "P4", t)
-                assert str(err.value) == str(want.value)
+                assert str(err.value) == f"point off the phase 4 path: {off}"
 
     def test_far_tail_costs_no_path_area(self):
         """A P4 plan with the tail 2e4 cells out (a path of about 2e8
@@ -340,8 +339,13 @@ class TestPathTable:
         assert plan.moves == {(1, 1): (1, 0), (2, 0): (2, 1)}
         assert peak < 512 * 1024  # the whole path would take gigabytes
         index, cell, _ = _path_table(t, 19000, 10000)
-        # past the tabled cells: the two movers, and their destinations
-        assert len(index) == _PREFILL + 2 and len(cell) == _PREFILL + 4
+        # past the tabled cells: the C'' cells, the two movers, and their
+        # destinations
+        far = [p for p in t.c_double_prime
+               if snake_index(p, 19000, 10000) >= _PREFILL]
+        assert len(far) == 2
+        assert len(index) == _PREFILL + len(far) + 2
+        assert len(cell) == _PREFILL + 4
 
 
 class TestPlanProperties:

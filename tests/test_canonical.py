@@ -496,6 +496,13 @@ class TestFrameCoords:
             assert {y for _, y in cf} == {0}
             assert {from_frame_coords(q, frame) for q in cf} == set(line)
 
+    @pytest.mark.parametrize("lin", LINEAR_CLASSES)
+    def test_from_frame_coords_inverts_every_frame(self, lin, rng):
+        for _ in range(100):
+            f = lin._replace(tx=rng.randint(-50, 50), ty=rng.randint(-50, 50))
+            p = (rng.randint(-50, 50), rng.randint(-50, 50))
+            assert from_frame_coords(f.apply(p), f) == p
+
     @given(c=points_strategy)
     def test_canonical_coords_fill_first_quadrant_corner(self, c):
         f = canonical_frames(c)[0]

@@ -282,6 +282,45 @@ class TestAnalyzeCommand:
         assert [line for line in out if line.startswith("frame:")] == frames
 
 
+class TestFileEncoding:
+    """Input files are read as UTF-8, with or without a byte order mark,
+    whatever the locale; any other bytes are a usage error naming the
+    file, not a traceback."""
+
+    CASES = pytest.mark.parametrize("argv, points", [
+        (["run", "--config", "{}", "--target", "{line}",
+          "--adversary", "round_robin"], REF11),
+        (["run", "--config", "{ref11}", "--target", "{}",
+          "--adversary", "round_robin"], LINE11),
+        (["analyze", "--config", "{}"], REF11),
+    ], ids=["run-config", "run-target", "analyze-config"])
+
+    @staticmethod
+    def _main(argv, path, ref11_file, line_file):
+        """``main`` with ``{}`` in ``argv`` as the encoded file."""
+        return main([a.format(path, ref11=ref11_file, line=line_file)
+                     for a in argv])
+
+    @CASES
+    def test_byte_order_mark_is_skipped(self, tmp_path, ref11_file, line_file,
+                                        capsys, argv, points):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + format_config(points).encode())
+        assert self._main(argv, path, ref11_file, line_file) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @CASES
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path, ref11_file,
+                                            line_file, capsys, argv, points):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(("# caf\xe9\n" + format_config(points))
+                         .encode("latin-1"))
+        assert self._main(argv, path, ref11_file, line_file) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "can't decode byte 0xe9" in err
+
+
 class TestGenCommand:
     def test_generates_asymmetric_files(self, tmp_path, capsys):
         from gridform.canonical import is_asymmetric
