@@ -231,11 +231,12 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     """
     points = frozenset(points)
     frames = canonical_frames(points)
-    cf = to_frame_coords(points, frames[0])
+    order = to_frame_coords(points, frames)
+    cf = frozenset(order)
     if cf == t.points:
         return StepPlan(formed=True, phase="DONE", moves={})
     try:
-        cv = evaluate_conditions(cf, t)
+        cv = evaluate_conditions(cf, order, t)
         phase = classify_phase(cv)
         fm = phase_moves(cf, cv, phase, t)
     except RuleViolation:

@@ -10,6 +10,7 @@ rectangle-preserving isometries serves as an independent symmetry oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .geometry import Isometry, Point, bounding_rect
@@ -126,7 +127,15 @@ def is_asymmetric(c: Iterable[Point]) -> bool:
     return len(canonical_frames(c)) == 1
 
 
-def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
+class Frames(list):
+    """What ``canonical_frames`` returns: the list of frames, plus the
+    winning scan's sorted ``key`` and its ``spec``. ``key`` is None when a
+    lone occupied corner won without one; ``to_frame_coords`` builds it."""
+
+    __slots__ = ("key", "spec")
+
+
+def canonical_frames(c: Iterable[Point]) -> Frames:
     """One frame per corner string achieving the lexicographic maximum,
     ordered by origin, then by x direction. A string starting with a 1 beats
     every string starting with a 0, so only scans from occupied corners are
@@ -147,10 +156,11 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
     specs = _scan_specs(occupied)
     n = len(specs)
     lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
+    best = None
     if len(lead) > 1:
         (x0, y0), (x1, y1) = specs[0][0], specs[-1][0]
         top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1  # the last index of a scan
-        best, won = None, []
+        won = []
         for i in lead:
             j = n - 1 - i
             paired = j in lead
@@ -174,12 +184,17 @@ def canonical_frames(c: Iterable[Point]) -> list[Isometry]:
         lead = won
         if len(lead) > 1:  # by corner, then by x row: unique per scan
             lead.sort(key=specs.__getitem__)
-    return [_scan_frame(specs[i]) for i in lead]
+    frames = Frames([_scan_frame(specs[i]) for i in lead])
+    frames.key, frames.spec = best, specs[lead[0]]
+    return frames
 
 
-def to_frame_coords(c: Iterable[Point], f: Isometry) -> frozenset:
-    """Express ``c`` in the coordinate system of ``f`` (first quadrant)."""
-    return f.apply_set(c)
+def to_frame_coords(c: Iterable[Point], frames: Frames) -> list[Point]:
+    """The image of ``c`` under ``frames[0]`` in scan order (x-major, then y
+    ascending): the winning key decoded, each index ``x * short_len + y``."""
+    spec = frames.spec
+    return list(map(divmod, frames.key or _scan_key(c, spec),
+                    repeat(spec[3])))
 
 
 def from_frame_coords(q: Point, f: Isometry) -> Point:
@@ -189,7 +204,7 @@ def from_frame_coords(q: Point, f: Isometry) -> Point:
 
 def frame_string(c: Iterable[Point], f: Isometry) -> str:
     """The occupancy string of ``c`` scanned in frame ``f``."""
-    cf = to_frame_coords(c, f)
+    cf = f.apply_set(c)
     rf = bounding_rect(cf)
     n, m = rf.width_pts, rf.height_pts
     return "".join(
@@ -203,10 +218,9 @@ def head_tail(c: Iterable[Point], f: Isometry) -> tuple[Point, Point]:
     occupied = frozenset(c)
     if len(occupied) < 2:
         raise ValueError("head/tail require at least 2 points")
-    cf = to_frame_coords(occupied, f)
+    cf = f.apply_set(occupied)
     # x-major, then y ascending: exactly the string's scan order.
-    order = sorted(cf)
-    return from_frame_coords(order[0], f), from_frame_coords(order[-1], f)
+    return from_frame_coords(min(cf), f), from_frame_coords(max(cf), f)
 
 
 def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:

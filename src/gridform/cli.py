@@ -16,7 +16,7 @@ from .canonical import (canonical_frames, collinear, corner_strings,
                         head_tail, to_frame_coords)
 from .conditions import (classify_phase, evaluate_conditions,
                          has_horizontal_reflection)
-from .geometry import Point
+from .geometry import Point, bounding_rect
 from .sampling import random_asymmetric_config, random_points
 from .target import canonicalize_target
 
@@ -24,6 +24,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIMIT = 2
 EXIT_FAULT = 3
+
+#: Pictures and dense corner strings cost O(area): past this many cells of
+#: the bounding box a one-line note stands in for them.
+MAX_CELLS = 10_000
 
 _OUTCOME_EXIT = {"FORMED": EXIT_OK, "LIMIT_EXCEEDED": EXIT_LIMIT, "FAULT": EXIT_FAULT}
 
@@ -101,14 +105,16 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
 def render_ascii(points: frozenset, head: Optional[Point] = None,
                  tail: Optional[Point] = None,
                  targets: Optional[frozenset] = None) -> str:
-    """Diagnostic grid picture: robots 'R', head 'H', tail 'T', target 'x'."""
-    cells = set(points) | set(targets or ())
-    xs = [p[0] for p in cells]
-    ys = [p[1] for p in cells]
+    """Diagnostic grid picture: robots 'R', head 'H', tail 'T', target 'x'.
+    A box of more than ``MAX_CELLS`` cells gets a one-line note."""
+    r = bounding_rect(set(points) | set(targets or ()))
+    (x0, y0), (x1, y1), area = r.min, r.max, r.width_pts * r.height_pts
+    if area > MAX_CELLS:
+        return f"picture not shown: {area} cells, over {MAX_CELLS}"
     rows = []
-    for y in range(max(ys), min(ys) - 1, -1):
+    for y in range(y1, y0 - 1, -1):
         row = []
-        for x in range(min(xs), max(xs) + 1):
+        for x in range(x0, x1 + 1):
             p = (x, y)
             if p == head:
                 row.append("H")
@@ -177,8 +183,10 @@ def cmd_run(args) -> int:
         "wall_time_s": round(elapsed, 6),
     }
     print(json.dumps(report, indent=2))
-    if args.render:
-        print(render_ascii(outcome.final, targets=target.points))
+    if args.render:  # the final configuration in canonical coordinates
+        final = frozenset(to_frame_coords(
+            outcome.final, canonical_frames(outcome.final)))
+        print(render_ascii(final, targets=target.points))
     return _OUTCOME_EXIT[outcome.kind]
 
 
@@ -189,16 +197,22 @@ def _dir_name(d: Optional[Point]) -> str:
 
 def cmd_analyze(args) -> int:
     config = load_config(args.config)
-    strings = corner_strings(config)
+    r = bounding_rect(config)
+    area = r.width_pts * r.height_pts
+    strings = corner_strings(config) if area <= MAX_CELLS else []
     print(f"points: {len(config)}")
     for cs in strings:
         print(f"corner {cs.corner} short {_dir_name(cs.short_dir)} "
               f"long {_dir_name(cs.long_dir)}: {cs.bits}")
-    best = max(cs.bits for cs in strings)
-    print(f"maximal string: {best}")
+    if strings:
+        print(f"maximal string: {max(cs.bits for cs in strings)}")
+    else:
+        print(f"corner strings not shown: {area} cells, over {MAX_CELLS}")
     frames = canonical_frames(config)
     if len(frames) == 1:
         print("asymmetric: yes")
+    elif not strings:
+        print(f"symmetric ({len(frames)} maximal strings)")
     else:
         dupes = sorted({cs.bits for cs in strings
                         if sum(1 for o in strings if o.bits == cs.bits) > 1})
@@ -220,8 +234,9 @@ def cmd_analyze(args) -> int:
         if len(config) == 1:
             print("phase: DONE")  # one robot is always formed
         elif len(frames) == 1:
-            cf = to_frame_coords(config, frames[0])
-            cv = evaluate_conditions(cf, target)
+            order = to_frame_coords(config, frames)
+            cf = frozenset(order)
+            cv = evaluate_conditions(cf, order, target)
             for i in range(8):
                 print(f"C{i}: {cv[i]}")
             print(f"C8: {has_horizontal_reflection(cf - {cv.tail})}")

@@ -43,11 +43,14 @@ def has_horizontal_reflection(points: frozenset) -> bool:
     return all((x, axis2 - y) in points for x, y in points)
 
 
-def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
+def evaluate_conditions(cf: frozenset, order: list,
+                        t: TargetPattern) -> ConditionVector:
     """Evaluate C0..C7 for a configuration expressed in canonical coordinates.
 
-    Needs at least 2 robots: C' of a single robot is empty, and a single
-    robot in canonical coordinates is always formed (C0)."""
+    ``order`` is ``cf`` in the scan order of the canonical string, x-major
+    then y ascending, as ``to_frame_coords`` decodes it. Needs at least 2
+    robots: C' of a single robot is empty, and a single robot in canonical
+    coordinates is always formed (C0)."""
     k = len(cf)
     if k != len(t.points):
         raise ValueError(
@@ -55,7 +58,6 @@ def evaluate_conditions(cf: frozenset, t: TargetPattern) -> ConditionVector:
         )
     if k < 2:
         raise ValueError("conditions need at least 2 robots")
-    order = sorted(cf)  # scan order of the canonical string
     head, tail = order[0], order[-1]
     # sorted by x, so the ends give the widths; C' is the order without the
     # tail, so its y extent plus the tail's y gives both heights

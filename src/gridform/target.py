@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .canonical import canonical_frames, to_frame_coords
-from .geometry import Point, bounding_rect
+from .geometry import Point
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,14 @@ def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
     """
     raw = frozenset(raw)
     frames = canonical_frames(raw)
-    points = to_frame_coords(raw, frames[0])
+    order = to_frame_coords(raw, frames)
+    points = frozenset(order)
     for f in frames[1:]:
-        alt = to_frame_coords(raw, f)
-        if alt != points:
+        if f.apply_set(raw) != points:
             raise AssertionError(
                 "maximal corner strings disagree on the canonical point set"
             )
-    r = bounding_rect(points)
-    n, m = r.width_pts, r.height_pts
-    order = sorted(points)
+    # the frame puts the rectangle at [0, N-1] x [0, M-1], the tail last
     h, t = order[0], order[-1]
-    return TargetPattern(
-        points=points,
-        M=m,
-        N=n,
-        h_target=h,
-        t_target=t,
-    )
+    return TargetPattern(points, M=max(y for _, y in order) + 1, N=t[0] + 1,
+                         h_target=h, t_target=t)

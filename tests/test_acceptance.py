@@ -14,7 +14,6 @@ from gridform.canonical import (
     brute_force_symmetries,
     canonical_frames,
     is_asymmetric,
-    to_frame_coords,
 )
 from gridform.cli import main
 from gridform.conditions import (
@@ -113,8 +112,8 @@ def test_criterion_4_phase_partition():
         k = rng.randint(3, 10)
         c = random_asymmetric_config(k, 9, rng)
         t = canonicalize_target(random_points(k, 6, rng))
-        cf = to_frame_coords(c, canonical_frames(c)[0])
-        cv = evaluate_conditions(cf, t)
+        cf = canonical_frames(c)[0].apply_set(c)
+        cv = evaluate_conditions(cf, sorted(cf), t)
         if cv.c0:
             continue
         matching = [p for p, pred in PREDICATES.items() if pred(cv)]
@@ -140,8 +139,8 @@ def _harvest_phase_states(wanted, per_phase, seed):
             frames = canonical_frames(cur)
             if len(frames) != 1:
                 break
-            cf = to_frame_coords(cur, frames[0])
-            cv = evaluate_conditions(cf, t)
+            cf = frames[0].apply_set(cur)
+            cv = evaluate_conditions(cf, sorted(cf), t)
             if cv.c0:
                 break
             phase = classify_phase(cv)
@@ -178,7 +177,7 @@ def test_criterion_5_single_move_invariance():
                 assert is_asymmetric(nxt), (phase, sorted(cf), src)
                 frames = canonical_frames(nxt)
                 assert len(frames) == 1, (phase, sorted(cf), src)
-                assert to_frame_coords(nxt, frames[0]) == nxt, \
+                assert frames[0].apply_set(nxt) == nxt, \
                     (phase, sorted(cf), src)
             checked += 1
     print(f"criterion 5 single-move invariance "

@@ -195,7 +195,7 @@ class TestPhaseRules:
         config, target, _ = PHASE_CASES["P4"]
         # the path covers x < n // 2 = 5; move one interior robot past it
         cf = (frozenset(config) - {(3, 2)}) | {(6, 2)}
-        cv = evaluate_conditions(cf, target)
+        cv = evaluate_conditions(cf, sorted(cf), target)
         with pytest.raises(RuleViolation, match="off the phase 4 path"):
             phase_moves(cf, cv, "P4", target)
 
@@ -208,7 +208,8 @@ class TestPhaseRules:
         bad = dataclasses.replace(target, h_target=other)
         assert (0, 0) in bad.c_double_prime
         with pytest.raises(RuleViolation, match="interior target at the origin"):
-            phase_moves(cf, evaluate_conditions(cf, target), "P4", bad)
+            phase_moves(cf, evaluate_conditions(cf, sorted(cf), target), "P4",
+                        bad)
 
     @pytest.mark.parametrize("phase, moved, onto, match", [
         # another robot on the cell above the head, or left of the tail
@@ -219,7 +220,7 @@ class TestPhaseRules:
                                                       onto, match):
         config, target, _ = PHASE_CASES[phase]
         cf = (frozenset(config) - {moved}) | {onto}
-        cv = evaluate_conditions(cf, target)
+        cv = evaluate_conditions(cf, sorted(cf), target)
         with pytest.raises(RuleViolation, match=match):
             phase_moves(cf, cv, phase, target)
 

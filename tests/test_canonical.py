@@ -145,7 +145,7 @@ def dense_reference_scans(c):
                                 -(ya * ox + yb * oy)))
     scans = []
     for f in frames:
-        rf = bounding_rect(to_frame_coords(c, f))
+        rf = bounding_rect(f.apply_set(c))
         if rf.min == (0, 0) and rf.width_pts >= rf.height_pts:
             scans.append((frame_string(c, f), f))
     return scans
@@ -324,7 +324,7 @@ class TestCanonicalFrames:
                        symmetric_points(), corner_points()))
     def test_every_frame_gives_the_same_image(self, c):
         # plan_moves computes the conditions and the rule on one image
-        images = {to_frame_coords(c, f) for f in canonical_frames(c)}
+        images = {f.apply_set(c) for f in canonical_frames(c)}
         assert len(images) == 1
 
 
@@ -473,16 +473,16 @@ class TestFrameCoords:
     def test_identity_position(self):
         c = frozenset({(0, 0), (0, 1), (1, 0)})
         f = Isometry(1, 0, 0, 1)
-        assert to_frame_coords(c, f) == c
+        assert f.apply_set(c) == c
 
     def test_translation(self):
         c = frozenset({(5, 5), (5, 6), (6, 5)})
         f = Isometry(1, 0, 0, 1, -5, -5)
-        assert to_frame_coords(c, f) == {(0, 0), (0, 1), (1, 0)}
+        assert f.apply_set(c) == {(0, 0), (0, 1), (1, 0)}
 
     def test_reflected_line(self):
         f = Isometry(-1, 0, 0, 1, 3, 0)
-        assert to_frame_coords(LINE_1101, f) == {(0, 0), (2, 0), (3, 0)}
+        assert f.apply_set(LINE_1101) == {(0, 0), (2, 0), (3, 0)}
 
     def test_line_frame_carries_the_fallback_y_row(self):
         cases = [
@@ -492,7 +492,7 @@ class TestFrameCoords:
         ]
         for line, frame in cases:
             assert canonical_frames(line) == [frame]
-            cf = to_frame_coords(line, frame)
+            cf = frame.apply_set(line)
             assert {y for _, y in cf} == {0}
             assert {from_frame_coords(q, frame) for q in cf} == set(line)
 
@@ -506,10 +506,68 @@ class TestFrameCoords:
     @given(c=points_strategy)
     def test_canonical_coords_fill_first_quadrant_corner(self, c):
         f = canonical_frames(c)[0]
-        cf = to_frame_coords(c, f)
+        cf = f.apply_set(c)
         r = bounding_rect(cf)
         assert r.min == (0, 0)
         assert r.width_pts >= r.height_pts
+
+
+def assert_decode_is_the_sorted_image(c):
+    frames = canonical_frames(c)
+    order = to_frame_coords(c, frames)
+    for f in frames:
+        assert order == sorted(f.apply_set(c)), (sorted(c), f)
+    return frames
+
+
+class TestDecode:
+    """``to_frame_coords`` decodes the winning scan's key: the image under
+    every canonical frame, in scan order, with no set mapped or sorted."""
+
+    @pytest.mark.parametrize("c, n_frames", [
+        ({(0, 0)}, 1),
+        ({(-7, 10**9)}, 1),
+        (LINE_1101, 1),  # horizontal
+        ({(2, 0), (2, 1), (2, 3)}, 1),  # vertical
+        ({(0, 0), (1, 0)}, 2),  # a symmetric line
+        (TROMINO_2x2, 2),  # a square with a diagonal mirror
+        ({(0, 0), (0, 2), (2, 0), (2, 2)}, 8),  # a fully symmetric square
+        ({(1, 0), (4, 1), (0, 3), (3, 4)}, 4),  # a square, quarter turns
+        (REF11, 1),  # wide
+        ({(y, x) for x, y in REF11}, 1),  # tall
+        ({(0, 0), (5, 0), (0, 2), (5, 2)}, 4),  # a symmetric rectangle
+        ({(-3, -4), (-1, -4), (-3, -5), (2, -3)}, 1),  # negative
+        ({(10**12, -10**12), (10**12 + 3, -10**12), (10**12, 2 - 10**12)},
+         1),  # far off
+    ])
+    def test_cases(self, c, n_frames):
+        assert len(assert_decode_is_the_sorted_image(c)) == n_frames
+
+    @settings(max_examples=400)
+    @given(c=st.one_of(points_strategy, wide_sparse_points(), corner_points(),
+                       symmetric_points()),
+           g=isometry_strategy, far=st.sampled_from([0, -10**6, 10**15]))
+    def test_decode_is_the_sorted_image(self, c, g, far):
+        g = g._replace(tx=g.tx + far, ty=g.ty - far)
+        assert_decode_is_the_sorted_image(g.apply_set(c))
+
+    def test_a_lone_occupied_corner_builds_no_key(self, monkeypatch):
+        """``is_asymmetric`` reads only the frame count, so a lone winning
+        scan is keyed by the decode alone."""
+        c = frozenset({(0, 0), (1, 2), (4, 1)})  # only (0, 0) is a corner
+        keyed = []
+        key = canonical._scan_key
+
+        def counted_key(occupied, spec):
+            keyed.append(spec)
+            return key(occupied, spec)
+
+        monkeypatch.setattr(canonical, "_scan_key", counted_key)
+        assert is_asymmetric(c) and keyed == []
+        frames = canonical_frames(c)
+        assert frames.key is None and keyed == []
+        assert to_frame_coords(c, frames) == [(0, 0), (1, 2), (4, 1)]
+        assert keyed == [frames.spec]
 
 
 class TestHeadTail:

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from gridform.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CELLS,
     CliError,
     format_config,
     main,
@@ -105,6 +107,64 @@ class TestRenderAscii:
     def test_targets_marked(self):
         art = render_ascii(frozenset({(0, 0)}), targets=frozenset({(1, 0)}))
         assert art == "R x"
+
+
+    def test_a_box_past_the_cap_is_one_line(self):
+        art = render_ascii(frozenset({(0, 0), (MAX_CELLS, 0)}))
+        assert art == f"picture not shown: {MAX_CELLS + 1} cells, " \
+            f"over {MAX_CELLS}"
+
+
+class TestFarOffDiagnostics:
+    """The pictures and corner strings cost O(area); a far-off or wide
+    configuration still finishes at once."""
+
+    FAR = {(100000, 100000), (100001, 100000), (100000, 100002),
+           (100003, 100001)}
+    TARGET = {(0, 0), (1, 0), (2, 0), (0, 1)}
+
+    def _main(self, tmp_path, argv, **files):
+        for name, points in files.items():
+            (tmp_path / f"{name}.txt").write_text(format_config(points))
+        argv = [str(tmp_path / f"{a}.txt") if a in files else a
+                for a in argv]
+        start = time.perf_counter()
+        rc = main(argv)
+        assert time.perf_counter() - start < 1.0
+        return rc
+
+    def test_run_render_draws_the_canonical_image(self, tmp_path, capsys):
+        assert self._main(tmp_path, ["run", "--config", "c", "--target", "t",
+                                     "--render"],
+                          c=self.FAR, t=self.TARGET) == EXIT_OK
+        # formed: the image is the target, so no target cell is left free
+        assert capsys.readouterr().out.splitlines()[-2:] == ["R · ·",
+                                                             "R R R"]
+
+    def test_run_render_marks_free_target_cells(self, tmp_path, capsys):
+        assert self._main(tmp_path, ["run", "--config", "c", "--target", "t",
+                                     "--max-events", "1", "--render"],
+                          c=self.FAR, t=self.TARGET) == EXIT_LIMIT
+        picture = capsys.readouterr().out.split("}\n")[-1]
+        assert "x" in picture and len(picture.splitlines()) <= 4
+
+    def test_analyze_render_past_the_cap(self, tmp_path, capsys):
+        config = {(0, 0), (3000000, 0), (5, 7)}
+        assert self._main(tmp_path, ["analyze", "--config", "c", "--target",
+                                     "t", "--render"],
+                          c=config, t={(0, 0), (1, 0), (0, 1)}) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        area = 3000001 * 8
+        assert out[1] == f"corner strings not shown: {area} cells, " \
+            f"over {MAX_CELLS}"
+        assert "asymmetric: yes" in out and "phase: P3" in out
+        assert out[-1] == f"picture not shown: {area} cells, over {MAX_CELLS}"
+
+    def test_analyze_symmetric_past_the_cap(self, tmp_path, capsys):
+        assert self._main(tmp_path, ["analyze", "--config", "c"],
+                          c={(0, 0), (3000000, 0)}) == EXIT_OK
+        assert "symmetric (2 maximal strings)" in \
+            capsys.readouterr().out.splitlines()
 
 
 class TestRunCommand:

@@ -36,7 +36,7 @@ PREDICATES = {
 class TestEvaluate:
     def test_ref11_against_line_target(self):
         t = canonicalize_target(LINE11)
-        cv = evaluate_conditions(REF11, t)
+        cv = evaluate_conditions(REF11, sorted(REF11), t)
         assert (cv.m, cv.n, t.M, t.N, cv.H, cv.V) == (6, 8, 1, 11, 7, 6)
         assert cv.c3 and not cv.c4
         assert not cv.c1 and not cv.c2 and not cv.c5
@@ -47,7 +47,7 @@ class TestEvaluate:
 
     def test_identical_configuration_sets_all_set_equalities(self):
         t = canonicalize_target(REF11)
-        cv = evaluate_conditions(REF11, t)
+        cv = evaluate_conditions(REF11, sorted(REF11), t)
         assert cv.c0 and cv.c1 and cv.c2 and cv.c7
 
     def test_c8_axis_between_rows(self):
@@ -61,11 +61,14 @@ class TestEvaluate:
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError, match="target"):
-            evaluate_conditions({(0, 0)}, canonicalize_target(LINE11))
+            evaluate_conditions({(0, 0)}, [(0, 0)],
+                                canonicalize_target(LINE11))
 
     def test_pure_function(self):
         t = canonicalize_target(LINE11)
-        assert evaluate_conditions(REF11, t) == evaluate_conditions(REF11, t)
+        order = sorted(REF11)
+        assert (evaluate_conditions(REF11, order, t)
+                == evaluate_conditions(REF11, order, t))
 
 
 class TestClassify:
@@ -74,7 +77,8 @@ class TestClassify:
             assert classify_phase(vector(c0=True, **extra)) == "DONE"
 
     def test_ref11_vector_is_phase1(self):
-        cv = evaluate_conditions(REF11, canonicalize_target(LINE11))
+        cv = evaluate_conditions(REF11, sorted(REF11),
+                                 canonicalize_target(LINE11))
         assert classify_phase(cv) == "P1"
 
     def test_c1_c2_is_phase7(self):
@@ -98,27 +102,27 @@ class TestClassify:
             assert classify_phase(v) == matching[0]
 
     def test_c1_implies_c7_on_concrete_configurations(self, rng):
-        from gridform.canonical import canonical_frames, to_frame_coords
+        from gridform.canonical import canonical_frames
         from gridform.sampling import random_asymmetric_config, random_points
 
         for _ in range(300):
             k = rng.randint(3, 8)
             c = random_asymmetric_config(k, 7, rng)
             t = canonicalize_target(random_points(k, 7, rng))
-            cf = to_frame_coords(c, canonical_frames(c)[0])
-            cv = evaluate_conditions(cf, t)
+            cf = canonical_frames(c)[0].apply_set(c)
+            cv = evaluate_conditions(cf, sorted(cf), t)
             assert not cv.c1 or cv.c7
 
     def test_classifier_matches_predicates_on_concrete_configurations(self, rng):
-        from gridform.canonical import canonical_frames, to_frame_coords
+        from gridform.canonical import canonical_frames
         from gridform.sampling import random_asymmetric_config, random_points
 
         for _ in range(300):
             k = rng.randint(3, 9)
             c = random_asymmetric_config(k, 8, rng)
             t = canonicalize_target(random_points(k, 8, rng))
-            cf = to_frame_coords(c, canonical_frames(c)[0])
-            cv = evaluate_conditions(cf, t)
+            cf = canonical_frames(c)[0].apply_set(c)
+            cv = evaluate_conditions(cf, sorted(cf), t)
             if cv.c0:
                 continue
             matching = [p for p, pred in PREDICATES.items() if pred(cv)]
@@ -146,7 +150,7 @@ def test_subset_forms_of_c1_and_c7_equal_set_equality():
         head, tail = order[0], order[-1]
         c1 = cf - {tail} == t.points - {t.t_target}
         c7 = cf - {head, tail} == t.points - {t.h_target, t.t_target}
-        cv = evaluate_conditions(cf, t)
+        cv = evaluate_conditions(cf, sorted(cf), t)
         assert (cv.c1, cv.c7) == (c1, c7), (sorted(cf), sorted(t.points))
         hits["c1"] += c1
         hits["c7"] += c7
@@ -169,7 +173,7 @@ def test_one_set_difference_matches_the_subset_forms():
     canonical configurations, on targets with a few robots moved off and
     on configurations whose head or tail holds a target end."""
     from gridform.algorithm import plan_moves
-    from gridform.canonical import canonical_frames, to_frame_coords
+    from gridform.canonical import canonical_frames
     from gridform.sampling import random_points
 
     rng = random.Random(20261018)
@@ -181,7 +185,7 @@ def test_one_set_difference_matches_the_subset_forms():
         mode = i // 8 % 3
         if mode == 0:  # a canonical configuration
             c = random_points(k, 7, rng)
-            cf = to_frame_coords(c, canonical_frames(c)[0])
+            cf = canonical_frames(c)[0].apply_set(c)
         elif mode == 1:  # the target with up to 3 robots moved
             cf = set(rng.sample(sorted(t.points), k - rng.randint(0, min(3, k))))
             while len(cf) < k:
@@ -201,10 +205,10 @@ def test_one_set_difference_matches_the_subset_forms():
         cf = frozenset(cf)
         if k == 1:  # conditions need 2 robots; plan_moves never asks
             with pytest.raises(ValueError, match="at least 2 robots"):
-                evaluate_conditions(cf, t)
+                evaluate_conditions(cf, sorted(cf), t)
             assert plan_moves(cf, t).formed
             continue
-        cv = evaluate_conditions(cf, t)
+        cv = evaluate_conditions(cf, sorted(cf), t)
         c0, c1, c7 = reference_c0_c1_c7(cf, t)
         assert (cv.c0, cv.c1, cv.c7) == (c0, c1, c7), (sorted(cf), t)
         hits["c0"] += c0
@@ -215,3 +219,60 @@ def test_one_set_difference_matches_the_subset_forms():
         # C'' lies on the target, yet a target end decides C7
         hits["ends_decide"] += (cf - t.points <= ends and not c7)
     assert min(hits.values()) > 20, hits
+
+
+def reference_evaluate(cf, t):
+    """``evaluate_conditions`` as it was before it read a handed scan
+    order: it sorted ``cf`` itself."""
+    order = sorted(cf)  # scan order of the canonical string
+    head, tail = order[0], order[-1]
+    ys = [p[1] for p in order[:-1]]
+    lo, hi = min(ys), max(ys)
+    n, H = tail[0] - head[0] + 1, order[-2][0] - head[0] + 1
+    m, V = max(hi, tail[1]) - min(lo, tail[1]) + 1, hi - lo + 1
+    off = cf - t.points
+    ends, h_target, t_target = (head, tail), t.h_target, t.t_target
+    return ConditionVector(
+        not off,
+        off <= {tail} and (t_target == tail or t_target not in cf),
+        tail[1] == t_target[1],
+        n >= max(t.M, m) + 2,
+        n >= 2 * max(t.N, H),
+        head == (0, 0),
+        m >= max(t.M, V) + 1,
+        off <= {head, tail} and (t_target in ends or t_target not in cf)
+        and (h_target in ends or h_target not in cf),
+        m, n, H, V, head, tail,
+    )
+
+
+def test_decoded_order_matches_the_sorting_reference():
+    """Fed the scan order ``to_frame_coords`` decodes, the conditions equal
+    the old sorting body on random configurations and on targets as they
+    are or with the tail, or the head and the tail, moved."""
+    from gridform.canonical import canonical_frames, to_frame_coords
+    from gridform.sampling import random_points
+
+    rng = random.Random(20261019)
+    hits = dict.fromkeys(("c0", "c1", "c7", "multi_frame"), 0)
+    for i in range(6000):
+        k = 2 + i % 11
+        t = canonicalize_target(random_points(k, 6, rng))
+        if i % 2:  # a random configuration, wide or tall, near or far
+            x0, y0 = rng.randint(-10**6, 10**6), rng.randint(-50, 50)
+            c = {(x0 + x, y0 + y) for x, y in random_points(k, 9, rng)}
+        else:  # the target, or it with the tail or head and tail moved
+            c = set(t.points - [{t.t_target}, {t.h_target, t.t_target},
+                                set()][i // 2 % 3])
+            while len(c) < k:
+                c.add((rng.randrange(-2, 12), rng.randrange(-2, 8)))
+        frames = canonical_frames(c)
+        order = to_frame_coords(c, frames)
+        cf = frozenset(order)
+        cv = evaluate_conditions(cf, order, t)
+        assert cv == reference_evaluate(cf, t), (sorted(c), t)
+        hits["c0"] += cv.c0
+        hits["c1"] += cv.c1
+        hits["c7"] += cv.c7
+        hits["multi_frame"] += len(frames) > 1
+    assert min(hits.values()) > 50, hits

@@ -59,3 +59,20 @@ def test_traced_runs_record_every_per_layer_span():
                 assert verify.check_phase_transitions(out.trace).passed
                 assert verify.check_formed(out.final, pattern).passed
     assert [name for name in SPANS if name not in tracer.totals] == []
+    # every plan decodes its image through the wrapped to_frame_coords
+    plans = tracer.totals["algorithm.plan"][0]
+    assert tracer.totals["algorithm.frame_coords"][0] >= plans > 0
+
+
+def test_multi_frame_count_reads_the_frame_list():
+    """``canonical.multi_frame_ratio`` counts ``len(result) > 1`` of each
+    ``canonical_frames`` result, so the result must stay a list of frames."""
+    from gridform.canonical import canonical_frames
+
+    tracer = load_tracer()
+    counter = tracer["Tracer"]({})
+    for c, multi in [({(0, 0), (1, 0)}, 1),  # symmetric
+                     ({(0, 0), (1, 0), (3, 0)}, 0)]:  # asymmetric
+        counter.counts.clear()
+        tracer["_note_frames"](counter, (c,), canonical_frames(c), 0.0)
+        assert counter.counts["canonical.multi_frame"] == multi
