@@ -3,7 +3,8 @@
 Every robot runs the same computation on its snapshot: recover the canonical
 frame(s) from the corner strings, classify the phase from the condition
 vector, and apply the phase rule. The decision is a function of the snapshot
-alone, so the whole pipeline lives in pure functions of point sets.
+alone, so the whole pipeline lives in pure functions of point sets. The
+rules read the canonical image as its scan key (``to_frame_coords``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple, Optional
 
-from .canonical import canonical_frames, from_frame_coords, to_frame_coords
+from .canonical import (canonical_frames, decode, from_frame_coords, holds,
+                        to_frame_coords)
 from .conditions import (ConditionVector, classify_phase, evaluate_conditions,
-                         has_horizontal_reflection)
+                         has_horizontal_reflection, target_key)
 from .geometry import Point
 from .target import TargetPattern
 
@@ -72,23 +74,23 @@ def _sign(d: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def _phase1(cf, cv, t):
+def _phase1(key, cv, t):
     return {cv.tail: (cv.tail[0] + 1, cv.tail[1])}
 
 
-def _phase2(cf, cv, t):
+def _phase2(key, cv, t):
     head = cv.head
     if head[1] == 0:
         raise RuleViolation("phase 2 with the head already at the origin")
     dest = (head[0], head[1] - 1)
-    if dest in cf:
+    if holds(key, cv.m, dest):
         raise RuleViolation("cell below the head is occupied")
     return {head: dest}
 
 
-def _phase3(cf, cv, t):
+def _phase3(key, cv, t):
     tail = cv.tail
-    if not has_horizontal_reflection(cf - {tail}):
+    if not has_horizontal_reflection(decode(key[:-1], cv.m)):
         dy = 1
     elif cv.m > cv.V:
         dy = 1  # SER(C') sits strictly below the top edge: keep growing up
@@ -123,31 +125,37 @@ _PREFILL = 1024  # over the 306 cells of the largest benchmark P4 path
 @lru_cache(maxsize=1)
 def _path_table(t: TargetPattern, m: int, n: int) -> tuple:
     """Phase 4's (m, n) snake path as ``(index, cell, target_idx)``: memos
-    cell -> index and index -> cell, and the sorted indices of C'' read
-    through the first. The memos start with the path's first ``_PREFILL``
-    cells, built without a Python call per cell, and compute any other cell
-    when asked, so a far tail (a path of huge area) costs only what is used.
-    Phase 4 keeps the head and the tail, so every P4 plan of a run asks for
-    the same (t, m, n) and runs are simulated one at a time: one entry
-    serves. A point off the path raises; an exception is never cached."""
+    scan index -> path index and path index -> cell, and the sorted path
+    indices of C''. A scan index is ``x * (m + 1) + y``, as in the key of a
+    configuration whose short side is m + 1, the path's rows plus the
+    tail's. The memos start with the path's first ``_PREFILL`` cells, built
+    without a Python call per cell, and compute any other cell when asked,
+    so a far tail (a path of huge area) costs only what is used. Target
+    points go through ``snake_index`` itself, as a target row past m has no
+    scan index. Phase 4 keeps the head and the tail, so every P4 plan of a
+    run asks for the same (t, m, n) and runs are simulated one at a time:
+    one entry serves. A point off the path raises; an exception is never
+    cached."""
     def index_of(p):
         i = snake_index(p, m, n)
         if i is None:
             raise RuleViolation(f"point off the phase 4 path: {p}")
         return i
-    index, cell = _Memo(index_of), _Memo(lambda i: snake_cell(i, m))
+    short_len = m + 1
+    index = _Memo(lambda v: index_of(divmod(v, short_len)))
+    cell = _Memo(lambda i: snake_cell(i, m))
     up, down = range(m), range(m - 1, -1, -1)
     cell.update(enumerate(islice(chain.from_iterable(
         zip(repeat(x, m), down if x % 2 else up) for x in range(n)),
         _PREFILL)))
-    index.update(zip(cell.values(), cell))
-    target_idx = tuple(sorted(map(index.__getitem__, t.c_double_prime)))
+    index.update(zip([x * short_len + y for x, y in cell.values()], cell))
+    target_idx = tuple(sorted(map(index_of, t.c_double_prime)))
     return index, cell, target_idx
 
 
-def _phase4(cf, cv, t):
+def _phase4(key, cv, t):
     index, cell, target_idx = _path_table(t, cv.m - 1, cv.n // 2)
-    robot_idx = sorted(map(index.__getitem__, cf - {cv.head, cv.tail}))
+    robot_idx = sorted(map(index.__getitem__, key[1:-1]))
     if target_idx and target_idx[0] == 0:
         raise RuleViolation("interior target at the origin")
     # the head holds index 0, which no interior target uses, and the tail is
@@ -156,10 +164,10 @@ def _phase4(cf, cv, t):
             for i, j in pf_on_path_moves(robot_idx, target_idx).items()}
 
 
-def _phase5(cf, cv, t):
+def _phase5(key, cv, t):
     tail = cv.tail
     goal_y = t.t_target[1]  # the row of t~_target on the tail's column
-    if not has_horizontal_reflection(cf - {tail}):
+    if not has_horizontal_reflection(decode(key[:-1], cv.m)):
         dy = _sign(goal_y - tail[1])
     else:
         top = cv.V - 1  # y of C'' on the tail's column (head at origin)
@@ -180,24 +188,24 @@ def _phase5(cf, cv, t):
     return {tail: (tail[0], tail[1] + dy)}
 
 
-def _phase6(cf, cv, t):
+def _phase6(key, cv, t):
     head = cv.head
     dy = _sign(t.h_target[1] - head[1])
     if dy == 0:
         raise RuleViolation("phase 6 with the head already at h_target")
     dest = (head[0], head[1] + dy)
-    if dest in cf:
+    if holds(key, cv.m, dest):
         raise RuleViolation(f"phase 6 head blocked: {dest} is occupied")
     return {head: dest}
 
 
-def _phase7(cf, cv, t):
+def _phase7(key, cv, t):
     tail = cv.tail
     dx = _sign(t.t_target[0] - tail[0])
     if dx == 0:
         raise RuleViolation("phase 7 with the tail already at t_target")
     dest = (tail[0] + dx, tail[1])
-    if dest in cf:
+    if holds(key, cv.m, dest):
         raise RuleViolation(f"phase 7 tail blocked: {dest} is occupied")
     return {tail: dest}
 
@@ -213,10 +221,11 @@ _RULES = {
 }
 
 
-def phase_moves(cf: frozenset, cv: ConditionVector, phase: str,
+def phase_moves(key: tuple, cv: ConditionVector, phase: str,
                 t: TargetPattern) -> dict:
-    """Moves prescribed by ``phase``, in frame coordinates."""
-    return _RULES[phase](cf, cv, t)
+    """Moves prescribed by ``phase`` for the canonical image given as its
+    scan key (short side ``cv.m``), in frame coordinates."""
+    return _RULES[phase](key, cv, t)
 
 
 def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
@@ -231,14 +240,14 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     """
     points = frozenset(points)
     frames = canonical_frames(points)
-    order = to_frame_coords(points, frames)
-    cf = frozenset(order)
-    if cf == t.points:
+    key = to_frame_coords(points, frames)
+    short_len = frames.spec[3]
+    if key == target_key(t, short_len)[1]:
         return StepPlan(formed=True, phase="DONE", moves={})
     try:
-        cv = evaluate_conditions(cf, order, t)
+        cv = evaluate_conditions(key, short_len, t)
         phase = classify_phase(cv)
-        fm = phase_moves(cf, cv, phase, t)
+        fm = phase_moves(key, cv, phase, t)
     except RuleViolation:
         if len(frames) == 1:
             raise

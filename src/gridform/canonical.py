@@ -3,12 +3,13 @@
 Every corner of the bounding rectangle contributes an occupancy bit string,
 scanned along the shorter side with scan lines advancing along the longer
 side. The lexicographically largest string picks out the leading corner and
-fixes a coordinate system shared by all robots. A brute-force enumeration of
-rectangle-preserving isometries serves as an independent symmetry oracle.
+fixes a coordinate system shared by all robots. The winning string's sorted
+scan indices (its key) are the canonical image that the planner reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional
@@ -189,12 +190,30 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
     return frames
 
 
-def to_frame_coords(c: Iterable[Point], frames: Frames) -> list[Point]:
-    """The image of ``c`` under ``frames[0]`` in scan order (x-major, then y
-    ascending): the winning key decoded, each index ``x * short_len + y``."""
-    spec = frames.spec
-    return list(map(divmod, frames.key or _scan_key(c, spec),
-                    repeat(spec[3])))
+def to_frame_coords(c: Iterable[Point], frames: Frames) -> tuple:
+    """The image of ``c`` under ``frames[0]`` as the winning scan key: the
+    sorted indices ``x * short_len + y`` of its points, x-major then y, with
+    ``short_len`` in ``frames.spec[3]``. Builds the key when a lone
+    occupied corner won without one."""
+    return frames.key or _scan_key(c, frames.spec)
+
+
+def decode(key, short_len: int) -> list[Point]:
+    """The points of a scan key (or of a slice of one), in key order."""
+    return list(map(divmod, key, repeat(short_len)))
+
+
+def holds(key, short_len: int, p: Point, lo: int = 0,
+          hi: Optional[int] = None) -> bool:
+    """True iff ``key[lo:hi]`` holds the point ``p``, found by bisection. A
+    row outside [0, short_len) holds nothing: there ``x * short_len + y``
+    would be a cell of the next or the previous column."""
+    x, y = p
+    if not 0 <= y < short_len:
+        return False
+    v, hi = x * short_len + y, len(key) if hi is None else hi
+    i = bisect_left(key, v, lo, hi)
+    return i < hi and key[i] == v
 
 
 def from_frame_coords(q: Point, f: Isometry) -> Point:
@@ -210,43 +229,3 @@ def frame_string(c: Iterable[Point], f: Isometry) -> str:
     return "".join(
         "1" if (i, j) in cf else "0" for i in range(n) for j in range(m)
     )
-
-
-def head_tail(c: Iterable[Point], f: Isometry) -> tuple[Point, Point]:
-    """Points of the first and last 1 of the frame's string, in the
-    coordinates ``c`` was given in."""
-    occupied = frozenset(c)
-    if len(occupied) < 2:
-        raise ValueError("head/tail require at least 2 points")
-    cf = f.apply_set(occupied)
-    # x-major, then y ascending: exactly the string's scan order.
-    return from_frame_coords(min(cf), f), from_frame_coords(max(cf), f)
-
-
-def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
-    """All non-trivial symmetries of ``c``, by exhausting the isometries
-    that map its bounding rectangle to itself.
-
-    For an axis-aligned collinear configuration (degenerate rectangle) the
-    reflection across its own line fixes every scan and is trivial; any
-    other point-fixing symmetry (a diagonal reflection of a diagonal
-    configuration) still swaps the corner scans and counts.
-    """
-    occupied = frozenset(c)
-    r = bounding_rect(occupied)
-    (x0, y0), (x1, y1) = r.min, r.max
-    candidates = [
-        Isometry(-1, 0, 0, 1, x0 + x1, 0),         # vertical axis
-        Isometry(1, 0, 0, -1, 0, y0 + y1),         # horizontal axis
-        Isometry(-1, 0, 0, -1, x0 + x1, y0 + y1),  # 180 deg
-    ]
-    if r.width_pts == r.height_pts:
-        candidates += [  # main diagonal, anti-diagonal, 90 deg CW, CCW
-            Isometry(0, 1, 1, 0, x0 - y0, y0 - x0),
-            Isometry(0, -1, -1, 0, x0 + y1, y0 + x1),
-            Isometry(0, 1, -1, 0, x0 - y0, y0 + x1),
-            Isometry(0, -1, 1, 0, x0 + y1, y0 - x0),
-        ]
-    degenerate = r.width_pts == 1 or r.height_pts == 1
-    return [g for g in candidates if g.apply_set(occupied) == occupied
-            and not (degenerate and all(g.apply(p) == p for p in occupied))]

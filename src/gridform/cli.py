@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
 from . import scheduler, verify
-from .canonical import (canonical_frames, collinear, corner_strings,
-                        head_tail, to_frame_coords)
+from .canonical import (canonical_frames, collinear, corner_strings, decode,
+                        to_frame_coords)
 from .conditions import (classify_phase, evaluate_conditions,
                          has_horizontal_reflection)
 from .geometry import Point, bounding_rect
@@ -184,9 +184,9 @@ def cmd_run(args) -> int:
     }
     print(json.dumps(report, indent=2))
     if args.render:  # the final configuration in canonical coordinates
-        final = frozenset(to_frame_coords(
-            outcome.final, canonical_frames(outcome.final)))
-        print(render_ascii(final, targets=target.points))
+        frames = canonical_frames(outcome.final)
+        final = decode(to_frame_coords(outcome.final, frames), frames.spec[3])
+        print(render_ascii(frozenset(final), targets=target.points))
     return _OUTCOME_EXIT[outcome.kind]
 
 
@@ -222,8 +222,10 @@ def cmd_analyze(args) -> int:
         print(f"frame: origin {f.inverse().apply((0, 0))} "
               f"x_dir {_dir_name((f.a, f.b))} y_dir "
               f"{'UNDETERMINED' if line else _dir_name((f.c, f.d))}")
-    if len(config) >= 2:
-        head, tail = head_tail(config, frames[0])
+    key, short_len = to_frame_coords(config, frames), frames.spec[3]
+    if len(config) >= 2:  # the first and last robot in scan order
+        head, tail = map(frames[0].inverse().apply,
+                         decode((key[0], key[-1]), short_len))
         print(f"head: {head}")
         print(f"tail: {tail}")
     if args.target:
@@ -234,12 +236,11 @@ def cmd_analyze(args) -> int:
         if len(config) == 1:
             print("phase: DONE")  # one robot is always formed
         elif len(frames) == 1:
-            order = to_frame_coords(config, frames)
-            cf = frozenset(order)
-            cv = evaluate_conditions(cf, order, target)
+            cv = evaluate_conditions(key, short_len, target)
             for i in range(8):
                 print(f"C{i}: {cv[i]}")
-            print(f"C8: {has_horizontal_reflection(cf - {cv.tail})}")
+            c_prime = decode(key[:-1], short_len)
+            print(f"C8: {has_horizontal_reflection(c_prime)}")
             print(f"m={cv.m} n={cv.n} M={target.M} N={target.N} "
                   f"H={cv.H} V={cv.V}")
             print(f"phase: {classify_phase(cv)}")

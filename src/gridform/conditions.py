@@ -1,9 +1,12 @@
-"""Boolean conditions over a configuration-in-frame and the phase classifier."""
+"""Boolean conditions over a configuration's canonical scan key, and the
+phase classifier."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
+from .canonical import holds
 from .geometry import Point
 from .target import TargetPattern
 
@@ -29,13 +32,14 @@ class ConditionVector(NamedTuple):
     tail: Point
 
 
-def has_horizontal_reflection(points: frozenset) -> bool:
+def has_horizontal_reflection(points: Iterable[Point]) -> bool:
     """Non-trivial reflectional symmetry about a horizontal line.
 
     The axis of any set-preserving horizontal reflection is the midline of
     the set's bounding box (integer or half-integer y). The reflection is
     trivial if every point lies on the axis.
     """
+    points = frozenset(points)
     ys = [p[1] for p in points]
     axis2 = min(ys) + max(ys)  # doubled to stay in integers
     if all(2 * y == axis2 for y in ys):
@@ -43,44 +47,64 @@ def has_horizontal_reflection(points: frozenset) -> bool:
     return all((x, axis2 - y) in points for x, y in points)
 
 
-def evaluate_conditions(cf: frozenset, order: list,
-                        t: TargetPattern) -> ConditionVector:
-    """Evaluate C0..C7 for a configuration expressed in canonical coordinates.
+@lru_cache(maxsize=64)
+def target_key(t: TargetPattern, short_len: int) -> tuple:
+    """The target's scan indices ``x * short_len + y`` as ``(codes, key)``:
+    the set of those of its points on rows [0, short_len), and their sorted
+    tuple when every point is on one of those rows (else None). A point on
+    a higher row has no index: it would alias a cell of the next column. A
+    run asks for a few short sides of one target."""
+    codes = [x * short_len + y for x, y in t.points if 0 <= y < short_len]
+    key = tuple(sorted(codes)) if len(codes) == len(t.points) else None
+    return frozenset(codes), key
 
-    ``order`` is ``cf`` in the scan order of the canonical string, x-major
-    then y ascending, as ``to_frame_coords`` decodes it. Needs at least 2
-    robots: C' of a single robot is empty, and a single robot in canonical
-    coordinates is always formed (C0)."""
-    k = len(cf)
+
+def evaluate_conditions(key: tuple, short_len: int,
+                        t: TargetPattern) -> ConditionVector:
+    """Evaluate C0..C7 for a configuration in canonical coordinates, given
+    as its scan key (``to_frame_coords``): the sorted indices ``x * S + y``
+    of its points, where S = ``short_len`` is the short side of its
+    bounding box, whose rows are [0, S). Needs at least 2 robots: C' of a
+    single robot is empty, and a single robot in canonical coordinates is
+    always formed (C0)."""
+    k, S = len(key), short_len
     if k != len(t.points):
         raise ValueError(
             f"configuration has {k} robots but the target has {len(t.points)}"
         )
     if k < 2:
         raise ValueError("conditions need at least 2 robots")
-    head, tail = order[0], order[-1]
-    # sorted by x, so the ends give the widths; C' is the order without the
-    # tail, so its y extent plus the tail's y gives both heights
-    ys = [p[1] for p in order[:-1]]
-    lo, hi = min(ys), max(ys)
-    n, H = tail[0] - head[0] + 1, order[-2][0] - head[0] + 1
-    m, V = max(hi, tail[1]) - min(lo, tail[1]) + 1, hi - lo + 1
+    head, tail = divmod(key[0], S), divmod(key[-1], S)
+    # the key is x-major, so its ends give the widths. C spans all S rows;
+    # C', C without the tail, spans fewer only if the tail alone may hold
+    # row 0 or row S - 1
+    if tail[1] == 0 or tail[1] == S - 1:
+        ys = [v % S for v in key[:-1]]
+        V = max(ys) - min(ys) + 1
+    else:
+        V = S
+    n, H = tail[0] - head[0] + 1, key[-2] // S - head[0] + 1
     # C0, C1 and C7 ask which robots are off the target: none, at most the
-    # tail, at most the head and the tail; and C1 and C7 that no other
-    # robot holds a target end they name
-    off = cf - t.points
-    ends, h_target, t_target = (head, tail), t.h_target, t.t_target
+    # tail, at most the head and the tail; and C1 and C7 that no robot of
+    # C' or C'' holds a target end they name
+    codes = target_key(t, S)[0]
+    c0 = c1 = c7 = False
+    if codes.issuperset(key[1:-1]):  # C'' lies on the target
+        t_target = t.t_target
+        t_inner = holds(key, S, t_target, 1, k - 1)
+        head_on = key[0] in codes
+        c0 = head_on and key[-1] in codes
+        c1 = head_on and not t_inner and t_target != head
+        c7 = not t_inner and not holds(key, S, t.h_target, 1, k - 1)
     return ConditionVector(  # positional, in field order: c0..c7, sizes, ends
-        not off,
-        off <= {tail} and (t_target == tail or t_target not in cf),
-        tail[1] == t_target[1],
-        n >= max(t.M, m) + 2,
+        c0, c1,
+        tail[1] == t.t_target[1],
+        n >= max(t.M, S) + 2,
         n >= 2 * max(t.N, H),
-        head == (0, 0),
-        m >= max(t.M, V) + 1,
-        off <= {head, tail} and (t_target in ends or t_target not in cf)
-        and (h_target in ends or h_target not in cf),
-        m, n, H, V, head, tail,
+        key[0] == 0,
+        S >= max(t.M, V) + 1,
+        c7,
+        S, n, H, V, head, tail,
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .canonical import canonical_frames, to_frame_coords
+from .canonical import canonical_frames, decode, to_frame_coords
 from .geometry import Point
 
 
@@ -38,7 +38,8 @@ def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
     """
     raw = frozenset(raw)
     frames = canonical_frames(raw)
-    order = to_frame_coords(raw, frames)
+    M = frames.spec[3]  # the short side, scanned along y
+    order = decode(to_frame_coords(raw, frames), M)
     points = frozenset(order)
     for f in frames[1:]:
         if f.apply_set(raw) != points:
@@ -47,5 +48,4 @@ def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
             )
     # the frame puts the rectangle at [0, N-1] x [0, M-1], the tail last
     h, t = order[0], order[-1]
-    return TargetPattern(points, M=max(y for _, y in order) + 1, N=t[0] + 1,
-                         h_target=h, t_target=t)
+    return TargetPattern(points, M=M, N=t[0] + 1, h_target=h, t_target=t)

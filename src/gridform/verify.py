@@ -1,13 +1,10 @@
-"""Post-hoc trace checkers and brute-force oracles."""
+"""Post-hoc trace checkers."""
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .algorithm import pf_on_path_moves
 from .geometry import Point, similar
 from .scheduler import Event, LOOK, MOVE
 from .target import TargetPattern
@@ -37,7 +34,6 @@ PHASE_EDGES = {
     "P7": {"DONE"},
     "DONE": set(),
 }
-MAX_ORDERS = 6  # activation orders ``oracle_pf_on_path`` samples for k > 3
 
 
 def check_collision_free(trace: Iterable[Event]) -> Verdict:
@@ -111,59 +107,3 @@ def back_edge_count(trace: Iterable[Event]) -> int:
             count += 1
         prev = ev.phase
     return count
-
-
-@dataclass
-class PathOracleResult:
-    total_steps: int
-    verdict: Verdict
-
-
-def oracle_pf_on_path(robots: tuple, targets: tuple,
-                      rng: Optional[random.Random] = None) -> PathOracleResult:
-    """Sequentially simulate phase 4's path protocol (``pf_on_path_moves``)
-    under several activation orders; every robot must reach its target with
-    no collision, no deadlock, no swaps, and exactly the sum of index
-    distances in executed steps."""
-    assert len(robots) == len(targets)
-    assert list(robots) == sorted(set(robots))
-    assert list(targets) == sorted(set(targets))
-    v = Verdict()
-    k = len(robots)
-    expected = sum(abs(r - t) for r, t in zip(robots, targets))
-    if k == 0:
-        return PathOracleResult(0, v)
-    if k <= 3:
-        orders = list(itertools.permutations(range(k)))
-    else:
-        rng = rng or random.Random(0)
-        orders = [tuple(rng.sample(range(k), k)) for _ in range(MAX_ORDERS)]
-    total = expected
-    for order in orders:
-        positions = list(robots)
-        steps = 0
-        while positions != list(targets):
-            progressed = False
-            for i in order:
-                nxt = pf_on_path_moves(positions, targets).get(positions[i])
-                if nxt is not None:
-                    positions[i] = nxt
-                    steps += 1
-                    progressed = True
-                if len(set(positions)) != k:
-                    v.flag(steps, "collision",
-                           f"order {order}: two robots share an index")
-                    return PathOracleResult(steps, v)
-                if sorted(positions) != positions:
-                    v.flag(steps, "swap", f"order {order}: robots crossed")
-                    return PathOracleResult(steps, v)
-            if not progressed:
-                # The protocol is deterministic: a full pass without a move
-                # can never unblock.
-                v.flag(steps, "deadlock", f"order {order}: no progress")
-                return PathOracleResult(steps, v)
-        if steps != expected:
-            v.flag(steps, "step-count",
-                   f"order {order}: {steps} steps, expected {expected}")
-        total = steps
-    return PathOracleResult(total, v)

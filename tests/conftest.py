@@ -16,6 +16,15 @@ REF11_TAIL = (7, 2)
 LINE11 = frozenset((i, 0) for i in range(11))
 
 
+def scan(cf, short_len=None):
+    """A point set in canonical position as ``(key, S)``: its sorted scan
+    indices ``x * S + y``, S its top row plus one unless given."""
+    if short_len is None:
+        short_len = max(y for _, y in cf) + 1
+    assert all(0 <= y < short_len for _, y in cf), sorted(cf)
+    return tuple(sorted(x * short_len + y for x, y in cf)), short_len
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -1,0 +1,99 @@
+"""Brute-force oracles that only the tests use: the symmetries of a
+configuration by exhausting the isometries of its bounding rectangle, and
+phase 4's path protocol simulated under several activation orders."""
+
+import itertools
+import random
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from gridform.algorithm import pf_on_path_moves
+from gridform.geometry import Isometry, Point, bounding_rect
+from gridform.verify import Verdict
+
+MAX_ORDERS = 6  # activation orders ``oracle_pf_on_path`` samples for k > 3
+
+
+def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
+    """All non-trivial symmetries of ``c``, by exhausting the isometries
+    that map its bounding rectangle to itself.
+
+    For an axis-aligned collinear configuration (degenerate rectangle) the
+    reflection across its own line fixes every scan and is trivial; any
+    other point-fixing symmetry (a diagonal reflection of a diagonal
+    configuration) still swaps the corner scans and counts.
+    """
+    occupied = frozenset(c)
+    r = bounding_rect(occupied)
+    (x0, y0), (x1, y1) = r.min, r.max
+    candidates = [
+        Isometry(-1, 0, 0, 1, x0 + x1, 0),         # vertical axis
+        Isometry(1, 0, 0, -1, 0, y0 + y1),         # horizontal axis
+        Isometry(-1, 0, 0, -1, x0 + x1, y0 + y1),  # 180 deg
+    ]
+    if r.width_pts == r.height_pts:
+        candidates += [  # main diagonal, anti-diagonal, 90 deg CW, CCW
+            Isometry(0, 1, 1, 0, x0 - y0, y0 - x0),
+            Isometry(0, -1, -1, 0, x0 + y1, y0 + x1),
+            Isometry(0, 1, -1, 0, x0 - y0, y0 + x1),
+            Isometry(0, -1, 1, 0, x0 + y1, y0 - x0),
+        ]
+    degenerate = r.width_pts == 1 or r.height_pts == 1
+    return [g for g in candidates if g.apply_set(occupied) == occupied
+            and not (degenerate and all(g.apply(p) == p for p in occupied))]
+
+
+@dataclass
+class PathOracleResult:
+    total_steps: int
+    verdict: Verdict
+
+
+def oracle_pf_on_path(robots: tuple, targets: tuple,
+                      rng: Optional[random.Random] = None) -> PathOracleResult:
+    """Sequentially simulate phase 4's path protocol (``pf_on_path_moves``)
+    under several activation orders; every robot must reach its target with
+    no collision, no deadlock, no swaps, and exactly the sum of index
+    distances in executed steps."""
+    assert len(robots) == len(targets)
+    assert list(robots) == sorted(set(robots))
+    assert list(targets) == sorted(set(targets))
+    v = Verdict()
+    k = len(robots)
+    expected = sum(abs(r - t) for r, t in zip(robots, targets))
+    if k == 0:
+        return PathOracleResult(0, v)
+    if k <= 3:
+        orders = list(itertools.permutations(range(k)))
+    else:
+        rng = rng or random.Random(0)
+        orders = [tuple(rng.sample(range(k), k)) for _ in range(MAX_ORDERS)]
+    total = expected
+    for order in orders:
+        positions = list(robots)
+        steps = 0
+        while positions != list(targets):
+            progressed = False
+            for i in order:
+                nxt = pf_on_path_moves(positions, targets).get(positions[i])
+                if nxt is not None:
+                    positions[i] = nxt
+                    steps += 1
+                    progressed = True
+                if len(set(positions)) != k:
+                    v.flag(steps, "collision",
+                           f"order {order}: two robots share an index")
+                    return PathOracleResult(steps, v)
+                if sorted(positions) != positions:
+                    v.flag(steps, "swap", f"order {order}: robots crossed")
+                    return PathOracleResult(steps, v)
+            if not progressed:
+                # The protocol is deterministic: a full pass without a move
+                # can never unblock.
+                v.flag(steps, "deadlock", f"order {order}: no progress")
+                return PathOracleResult(steps, v)
+        if steps != expected:
+            v.flag(steps, "step-count",
+                   f"order {order}: {steps} steps, expected {expected}")
+        total = steps
+    return PathOracleResult(total, v)

@@ -10,11 +10,7 @@ import random
 import pytest
 
 from gridform.algorithm import plan_moves
-from gridform.canonical import (
-    brute_force_symmetries,
-    canonical_frames,
-    is_asymmetric,
-)
+from gridform.canonical import canonical_frames, is_asymmetric
 from gridform.cli import main
 from gridform.conditions import (
     classify_phase,
@@ -30,10 +26,10 @@ from gridform.verify import (
     check_collision_free,
     check_formed,
     check_phase_transitions,
-    oracle_pf_on_path,
 )
 
-from conftest import REF11_HEAD, REF11_STRING, REF11_TAIL
+from conftest import REF11_HEAD, REF11_STRING, REF11_TAIL, scan
+from oracles import brute_force_symmetries, oracle_pf_on_path
 
 from test_conditions import PREDICATES
 
@@ -113,7 +109,7 @@ def test_criterion_4_phase_partition():
         c = random_asymmetric_config(k, 9, rng)
         t = canonicalize_target(random_points(k, 6, rng))
         cf = canonical_frames(c)[0].apply_set(c)
-        cv = evaluate_conditions(cf, sorted(cf), t)
+        cv = evaluate_conditions(*scan(cf), t)
         if cv.c0:
             continue
         matching = [p for p, pred in PREDICATES.items() if pred(cv)]
@@ -140,7 +136,7 @@ def _harvest_phase_states(wanted, per_phase, seed):
             if len(frames) != 1:
                 break
             cf = frames[0].apply_set(cur)
-            cv = evaluate_conditions(cf, sorted(cf), t)
+            cv = evaluate_conditions(*scan(cf), t)
             if cv.c0:
                 break
             phase = classify_phase(cv)

@@ -17,14 +17,14 @@ from gridform.algorithm import (
     snake_cell,
     snake_index,
 )
-from gridform.canonical import canonical_frames, is_asymmetric
+from gridform.canonical import canonical_frames, holds, is_asymmetric
 from gridform.conditions import ConditionVector, evaluate_conditions
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
-from gridform.target import canonicalize_target
-from gridform.verify import oracle_pf_on_path
+from gridform.target import TargetPattern, canonicalize_target
 
-from conftest import REF11, REF11_TAIL, LINE11
+from conftest import REF11, REF11_TAIL, LINE11, scan
+from oracles import oracle_pf_on_path
 
 
 def snake_path(m, n):
@@ -194,22 +194,22 @@ class TestPhaseRules:
     def test_phase4_point_off_the_path_is_a_rule_violation(self):
         config, target, _ = PHASE_CASES["P4"]
         # the path covers x < n // 2 = 5; move one interior robot past it
-        cf = (frozenset(config) - {(3, 2)}) | {(6, 2)}
-        cv = evaluate_conditions(cf, sorted(cf), target)
+        key, short_len = scan((frozenset(config) - {(3, 2)}) | {(6, 2)})
+        cv = evaluate_conditions(key, short_len, target)
         with pytest.raises(RuleViolation, match="off the phase 4 path"):
-            phase_moves(cf, cv, "P4", target)
+            phase_moves(key, cv, "P4", target)
 
     def test_phase4_interior_target_at_origin_is_a_rule_violation(self):
         config, target, _ = PHASE_CASES["P4"]
-        cf = frozenset(config)
+        key, short_len = scan(config)
         # another interior cell as h_target leaves the real head, the
         # origin, in the derived c_double_prime
         other = min(target.c_double_prime)
         bad = dataclasses.replace(target, h_target=other)
         assert (0, 0) in bad.c_double_prime
         with pytest.raises(RuleViolation, match="interior target at the origin"):
-            phase_moves(cf, evaluate_conditions(cf, sorted(cf), target), "P4",
-                        bad)
+            phase_moves(key, evaluate_conditions(key, short_len, target),
+                        "P4", bad)
 
     @pytest.mark.parametrize("phase, moved, onto, match", [
         # another robot on the cell above the head, or left of the tail
@@ -219,10 +219,10 @@ class TestPhaseRules:
     def test_blocked_head_or_tail_is_a_rule_violation(self, phase, moved,
                                                       onto, match):
         config, target, _ = PHASE_CASES[phase]
-        cf = (frozenset(config) - {moved}) | {onto}
-        cv = evaluate_conditions(cf, sorted(cf), target)
+        key, short_len = scan((frozenset(config) - {moved}) | {onto})
+        cv = evaluate_conditions(key, short_len, target)
         with pytest.raises(RuleViolation, match=match):
-            phase_moves(cf, cv, phase, target)
+            phase_moves(key, cv, phase, target)
 
     def test_moves_never_collide(self):
         for config, target, _ in PHASE_CASES.values():
@@ -268,8 +268,10 @@ class TestTargetIndexCache:
 
 
 class TestPathTable:
-    """The cached cell -> index and index -> cell memos of phase 4's snake
-    path against the closed forms ``snake_index`` and ``snake_cell``."""
+    """The cached scan index -> path index and path index -> cell memos of
+    phase 4's snake path against the closed forms ``snake_index`` and
+    ``snake_cell``. Over m path rows a cell's scan index is
+    ``x * (m + 1) + y``, as in the key of a configuration m + 1 rows high."""
 
     def test_memos_match_the_closed_forms(self):
         rng = random.Random(12)
@@ -278,26 +280,30 @@ class TestPathTable:
             (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(60)]
         t = canonicalize_target({(0, 0), (1, 0)})  # C'' is empty
         for m, n in sizes:
+            def code(p):
+                return p[0] * (m + 1) + p[1]
             index, cell, target_idx = _path_table(t, m, n)
             assert target_idx == ()
             first = min(m * n, _PREFILL)  # the cells tabled up front
             assert cell == {i: snake_cell(i, m) for i in range(first)}
-            assert index == {p: i for i, p in cell.items()}
+            assert index == {code(p): i for i, p in cell.items()}
             asked = [(x, y) for x in range(n) for y in range(m)
                      if rng.random() < 0.5]
             rng.shuffle(asked)
             for p in asked:
-                i = index[p]
+                i = index[code(p)]
                 assert i == snake_index(p, m, n) and cell[i] == p
-                assert snake_cell(i, m) == p and index[cell[i]] == i
+                assert snake_cell(i, m) == p and index[code(cell[i])] == i
             # the memos add what was asked, never the whole path
-            assert index.keys() == {snake_cell(i, m) for i in range(first)
-                                    } | set(asked)
+            tabled = {code(snake_cell(i, m)) for i in range(first)}
+            assert index.keys() == tabled | set(map(code, asked))
             assert cell.keys() == set(index.values())
-            for p in [(-1, 0), (0, -1), (n, 0), (0, m)]:
+            # off the path on the key's rows [0, m]: left, right, and the
+            # tail's row m above the path
+            for p in [(-1, 0), (n, 0), (0, m), (n - 1, m)]:
                 for _ in range(2):
                     with pytest.raises(RuleViolation) as err:
-                        index[p]
+                        index[code(p)]
                     assert str(err.value) == f"point off the phase 4 path: {p}"
             assert len(index) == len(cell)
 
@@ -310,19 +316,23 @@ class TestPathTable:
         assert info.maxsize == 1 and info.currsize == 1
 
     def test_off_the_path_names_the_same_point(self):
-        """A robot or a target point off the path raises a message that
-        names the first such point of its set, on every call."""
+        """A robot off the path raises a message that names the first such
+        robot in key order, a target point the first such point of C'', on
+        every call. A robot's row is below m, a target point's need not be:
+        (2, 2) lies on row m = 2 when m = 2."""
         t = canonicalize_target({(0, 0), (1, 1), (2, 2), (3, 0)})
-        for m, strays in [(4, [(4, 0)]), (4, [(0, 3), (-1, 1), (9, 9)]),
+        for m, strays in [(4, [(4, 0)]), (4, [(6, 2), (0, 3), (5, 1)]),
                           (2, [])]:
             cv = ConditionVector(*[False] * 8, m=m, n=8, H=0, V=0,
                                  head=(0, 0), tail=(7, 0))
             inner = frozenset({(1, 0), (2, 0), *strays})
-            off = next(p for p in (inner if strays else t.c_double_prime)
+            key = scan(inner | {cv.head, cv.tail}, m)[0]
+            off = next(p for p in (sorted(inner) if strays
+                                   else t.c_double_prime)
                        if snake_index(p, m - 1, 4) is None)
             for _ in range(2):
                 with pytest.raises(RuleViolation) as err:
-                    phase_moves(inner | {cv.head, cv.tail}, cv, "P4", t)
+                    phase_moves(key, cv, "P4", t)
                 assert str(err.value) == f"point off the phase 4 path: {off}"
 
     def test_far_tail_costs_no_path_area(self):
@@ -339,14 +349,54 @@ class TestPathTable:
         assert plan.phase == "P4"
         assert plan.moves == {(1, 1): (1, 0), (2, 0): (2, 1)}
         assert peak < 512 * 1024  # the whole path would take gigabytes
-        index, cell, _ = _path_table(t, 19000, 10000)
-        # past the tabled cells: the C'' cells, the two movers, and their
+        index, cell, target_idx = _path_table(t, 19000, 10000)
+        # past the tabled cells: two C'' cells, which go through
+        # snake_index and not the memos, the two movers, and their
         # destinations
-        far = [p for p in t.c_double_prime
-               if snake_index(p, 19000, 10000) >= _PREFILL]
+        far = [i for i in target_idx if i >= _PREFILL]
         assert len(far) == 2
-        assert len(index) == _PREFILL + len(far) + 2
+        assert len(index) == _PREFILL + 2
         assert len(cell) == _PREFILL + 4
+
+
+class TestEdgeRows:
+    """A scan index ``x * S + y`` is a cell of the next column on row S and
+    of the previous column on row -1, so neither row may be looked up
+    blindly in a key of short side S."""
+
+    def test_rows_minus_one_and_s_hold_nothing(self):
+        key, short_len = scan({(0, 2), (1, 1), (2, 0)}, 3)
+        assert key == (2, 4, 6)
+        assert holds(key, short_len, (0, 2)) and holds(key, short_len, (2, 0))
+        # (1, -1) would read index 2, the cell (0, 2); (1, 3) index 6,
+        # the cell (2, 0)
+        assert not holds(key, short_len, (1, -1))
+        assert not holds(key, short_len, (1, 3))
+
+    def test_phase6_head_climbs_onto_row_s(self):
+        """P2's destination lies below a head off row 0 and P7's on the
+        tail's row, both inside [0, S); P6's head climbs to h_target, which
+        may lie past the top row."""
+        key, short_len = scan({(0, 2), (1, 0), (2, 1), (7, 2)}, 3)
+        cv = ConditionVector(*[False] * 8, m=short_len, n=8, H=3, V=3,
+                             head=(0, 2), tail=(7, 2))
+        t = TargetPattern(frozenset({(0, 4), (1, 0), (2, 1), (3, 0)}), M=5,
+                          N=4, h_target=(0, 4), t_target=(3, 0))
+        # (0, 3)'s scan index is 3, the robot at (1, 0)
+        assert phase_moves(key, cv, "P6", t) == {(0, 2): (0, 3)}
+
+    def test_phase4_target_past_row_s_is_off_the_path(self):
+        """A C'' point on row S would alias the on-path cell (1, 0)."""
+        key, short_len = scan({(0, 0), (1, 0), (2, 1), (7, 2)}, 3)
+        cv = ConditionVector(*[False] * 8, m=short_len, n=8, H=3, V=2,
+                             head=(0, 0), tail=(7, 2))
+        t = TargetPattern(frozenset({(0, 0), (0, 3), (1, 1), (5, 0)}), M=4,
+                          N=6, h_target=(0, 0), t_target=(5, 0))
+        assert snake_index((1, 0), 2, 4) is not None
+        for _ in range(3):
+            with pytest.raises(RuleViolation) as err:
+                phase_moves(key, cv, "P4", t)
+            assert str(err.value) == "point off the phase 4 path: (0, 3)"
 
 
 class TestPlanProperties:

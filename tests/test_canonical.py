@@ -1,3 +1,9 @@
+import ast
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,19 +13,20 @@ from gridform.canonical import (
     _scan_frame,
     _scan_key,
     _scan_specs,
-    brute_force_symmetries,
     canonical_frames,
     collinear,
     corner_strings,
+    decode,
     frame_string,
     from_frame_coords,
-    head_tail,
     is_asymmetric,
     to_frame_coords,
 )
+from gridform.cli import format_config, main
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 
 from conftest import REF11, REF11_HEAD, REF11_STRING, REF11_TAIL
+from oracles import brute_force_symmetries
 
 points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
@@ -514,15 +521,18 @@ class TestFrameCoords:
 
 def assert_decode_is_the_sorted_image(c):
     frames = canonical_frames(c)
-    order = to_frame_coords(c, frames)
+    key = to_frame_coords(c, frames)
+    assert list(key) == sorted(key)
+    order = decode(key, frames.spec[3])
     for f in frames:
         assert order == sorted(f.apply_set(c)), (sorted(c), f)
     return frames
 
 
 class TestDecode:
-    """``to_frame_coords`` decodes the winning scan's key: the image under
-    every canonical frame, in scan order, with no set mapped or sorted."""
+    """``to_frame_coords`` hands on the winning scan's key, and ``decode``
+    turns it into the image under every canonical frame, in scan order,
+    with no set mapped or sorted."""
 
     @pytest.mark.parametrize("c, n_frames", [
         ({(0, 0)}, 1),
@@ -566,33 +576,42 @@ class TestDecode:
         assert is_asymmetric(c) and keyed == []
         frames = canonical_frames(c)
         assert frames.key is None and keyed == []
-        assert to_frame_coords(c, frames) == [(0, 0), (1, 2), (4, 1)]
+        key = to_frame_coords(c, frames)
         assert keyed == [frames.spec]
+        assert key == (0, 5, 13) and frames.spec[3] == 3
+        assert decode(key, 3) == [(0, 0), (1, 2), (4, 1)]
+
+
+def analyzed_ends(c):
+    """The head and the tail that ``gridform analyze`` prints for ``c``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        path.write_text(format_config(c))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["analyze", "--config", str(path)]) == 0
+    ends = dict(line.split(": ", 1) for line in out.getvalue().splitlines()
+                if line.startswith(("head: ", "tail: ")))
+    return ast.literal_eval(ends["head"]), ast.literal_eval(ends["tail"])
 
 
 class TestHeadTail:
+    """``analyze`` reads the head and the tail off the ends of the winning
+    key, decoded and mapped back through the first canonical frame."""
+
     def test_ref11(self):
-        f = canonical_frames(REF11)[0]
-        assert head_tail(REF11, f) == (REF11_HEAD, REF11_TAIL)
+        assert analyzed_ends(REF11) == (REF11_HEAD, REF11_TAIL)
 
     def test_line(self):
-        f = canonical_frames(LINE_1101)[0]
-        assert head_tail(LINE_1101, f) == ((0, 0), (3, 0))
-
-    def test_requires_two_points(self):
-        f = canonical_frames({(0, 0)})[0]
-        with pytest.raises(ValueError):
-            head_tail({(0, 0)}, f)
+        assert analyzed_ends(LINE_1101) == ((0, 0), (3, 0))
 
     @settings(max_examples=80)
     @given(c=points_strategy, g=isometry_strategy)
     def test_head_is_frame_covariant(self, c, g):
         if len(c) < 2 or not is_asymmetric(c):
             return
-        img = g.apply_set(c)
-        h1, _ = head_tail(c, canonical_frames(c)[0])
-        h2, _ = head_tail(img, canonical_frames(img)[0])
-        assert g.apply(h1) == h2
+        (h1, t1), (h2, t2) = analyzed_ends(c), analyzed_ends(g.apply_set(c))
+        assert (g.apply(h1), g.apply(t1)) == (h2, t2)
 
 
 class TestEmptyInput:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from gridform.conditions import (
 )
 from gridform.target import canonicalize_target
 
-from conftest import REF11, LINE11
+from conftest import REF11, LINE11, scan
 
 
 def vector(**bits):
@@ -36,7 +37,7 @@ PREDICATES = {
 class TestEvaluate:
     def test_ref11_against_line_target(self):
         t = canonicalize_target(LINE11)
-        cv = evaluate_conditions(REF11, sorted(REF11), t)
+        cv = evaluate_conditions(*scan(REF11), t)
         assert (cv.m, cv.n, t.M, t.N, cv.H, cv.V) == (6, 8, 1, 11, 7, 6)
         assert cv.c3 and not cv.c4
         assert not cv.c1 and not cv.c2 and not cv.c5
@@ -47,7 +48,7 @@ class TestEvaluate:
 
     def test_identical_configuration_sets_all_set_equalities(self):
         t = canonicalize_target(REF11)
-        cv = evaluate_conditions(REF11, sorted(REF11), t)
+        cv = evaluate_conditions(*scan(REF11), t)
         assert cv.c0 and cv.c1 and cv.c2 and cv.c7
 
     def test_c8_axis_between_rows(self):
@@ -61,14 +62,13 @@ class TestEvaluate:
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError, match="target"):
-            evaluate_conditions({(0, 0)}, [(0, 0)],
-                                canonicalize_target(LINE11))
+            evaluate_conditions((0,), 1, canonicalize_target(LINE11))
 
     def test_pure_function(self):
         t = canonicalize_target(LINE11)
-        order = sorted(REF11)
-        assert (evaluate_conditions(REF11, order, t)
-                == evaluate_conditions(REF11, order, t))
+        key, short_len = scan(REF11)
+        assert (evaluate_conditions(key, short_len, t)
+                == evaluate_conditions(key, short_len, t))
 
 
 class TestClassify:
@@ -77,8 +77,7 @@ class TestClassify:
             assert classify_phase(vector(c0=True, **extra)) == "DONE"
 
     def test_ref11_vector_is_phase1(self):
-        cv = evaluate_conditions(REF11, sorted(REF11),
-                                 canonicalize_target(LINE11))
+        cv = evaluate_conditions(*scan(REF11), canonicalize_target(LINE11))
         assert classify_phase(cv) == "P1"
 
     def test_c1_c2_is_phase7(self):
@@ -110,7 +109,7 @@ class TestClassify:
             c = random_asymmetric_config(k, 7, rng)
             t = canonicalize_target(random_points(k, 7, rng))
             cf = canonical_frames(c)[0].apply_set(c)
-            cv = evaluate_conditions(cf, sorted(cf), t)
+            cv = evaluate_conditions(*scan(cf), t)
             assert not cv.c1 or cv.c7
 
     def test_classifier_matches_predicates_on_concrete_configurations(self, rng):
@@ -122,7 +121,7 @@ class TestClassify:
             c = random_asymmetric_config(k, 8, rng)
             t = canonicalize_target(random_points(k, 8, rng))
             cf = canonical_frames(c)[0].apply_set(c)
-            cv = evaluate_conditions(cf, sorted(cf), t)
+            cv = evaluate_conditions(*scan(cf), t)
             if cv.c0:
                 continue
             matching = [p for p, pred in PREDICATES.items() if pred(cv)]
@@ -150,7 +149,7 @@ def test_subset_forms_of_c1_and_c7_equal_set_equality():
         head, tail = order[0], order[-1]
         c1 = cf - {tail} == t.points - {t.t_target}
         c7 = cf - {head, tail} == t.points - {t.h_target, t.t_target}
-        cv = evaluate_conditions(cf, sorted(cf), t)
+        cv = evaluate_conditions(*scan(cf), t)
         assert (cv.c1, cv.c7) == (c1, c7), (sorted(cf), sorted(t.points))
         hits["c1"] += c1
         hits["c7"] += c7
@@ -168,10 +167,21 @@ def reference_c0_c1_c7(cf, t):
             dp <= t.points and t.h_target not in dp and t.t_target not in dp)
 
 
+def lifted(cf, t):
+    """``cf`` and ``t`` one row up, so that row -1 gets scan indices. C0, C1
+    and C7 compare point sets, which a translation keeps."""
+    def up(p):
+        return (p[0], p[1] + 1)
+    return frozenset(map(up, cf)), dataclasses.replace(
+        t, points=frozenset(map(up, t.points)), M=t.M + 1,
+        h_target=up(t.h_target), t_target=up(t.t_target))
+
+
 def test_one_set_difference_matches_the_subset_forms():
-    """C0, C1 and C7 from ``cf - t.points`` against the subset forms, on
-    canonical configurations, on targets with a few robots moved off and
-    on configurations whose head or tail holds a target end."""
+    """C0, C1 and C7 from the key against the subset forms, on canonical
+    configurations, on targets with a few robots moved off and on
+    configurations whose head or tail holds a target end. The box reaches
+    row -1, so each case is lifted one row."""
     from gridform.algorithm import plan_moves
     from gridform.canonical import canonical_frames
     from gridform.sampling import random_points
@@ -204,11 +214,13 @@ def test_one_set_difference_matches_the_subset_forms():
                 continue
         cf = frozenset(cf)
         if k == 1:  # conditions need 2 robots; plan_moves never asks
-            with pytest.raises(ValueError, match="at least 2 robots"):
-                evaluate_conditions(cf, sorted(cf), t)
             assert plan_moves(cf, t).formed
+        cf, t = lifted(cf, t)
+        if k == 1:
+            with pytest.raises(ValueError, match="at least 2 robots"):
+                evaluate_conditions(*scan(cf), t)
             continue
-        cv = evaluate_conditions(cf, sorted(cf), t)
+        cv = evaluate_conditions(*scan(cf), t)
         c0, c1, c7 = reference_c0_c1_c7(cf, t)
         assert (cv.c0, cv.c1, cv.c7) == (c0, c1, c7), (sorted(cf), t)
         hits["c0"] += c0
@@ -222,8 +234,8 @@ def test_one_set_difference_matches_the_subset_forms():
 
 
 def reference_evaluate(cf, t):
-    """``evaluate_conditions`` as it was before it read a handed scan
-    order: it sorted ``cf`` itself."""
+    """``evaluate_conditions`` on decoded points, as it was before it read
+    the scan key: it sorted ``cf`` and tested sets of point tuples."""
     order = sorted(cf)  # scan order of the canonical string
     head, tail = order[0], order[-1]
     ys = [p[1] for p in order[:-1]]
@@ -246,15 +258,19 @@ def reference_evaluate(cf, t):
     )
 
 
-def test_decoded_order_matches_the_sorting_reference():
-    """Fed the scan order ``to_frame_coords`` decodes, the conditions equal
-    the old sorting body on random configurations and on targets as they
-    are or with the tail, or the head and the tail, moved."""
-    from gridform.canonical import canonical_frames, to_frame_coords
+def test_key_read_conditions_match_the_decoded_reference():
+    """Read off the winning scan key, the conditions equal the decoded
+    reference on 6 000 canonical configurations: random ones, and targets
+    as they are or with the tail, or the head and the tail, moved. The
+    edge cases are counted: the tail alone on row 0 or row S - 1 (V < S),
+    k = 2, and a target end on a row >= S, whose scan index would alias a
+    cell of the next column."""
+    from gridform.canonical import canonical_frames, decode, to_frame_coords
     from gridform.sampling import random_points
 
     rng = random.Random(20261019)
-    hits = dict.fromkeys(("c0", "c1", "c7", "multi_frame"), 0)
+    hits = dict.fromkeys(("c0", "c1", "c7", "multi_frame", "tail_alone",
+                          "k2", "end_past_s"), 0)
     for i in range(6000):
         k = 2 + i % 11
         t = canonicalize_target(random_points(k, 6, rng))
@@ -267,12 +283,16 @@ def test_decoded_order_matches_the_sorting_reference():
             while len(c) < k:
                 c.add((rng.randrange(-2, 12), rng.randrange(-2, 8)))
         frames = canonical_frames(c)
-        order = to_frame_coords(c, frames)
-        cf = frozenset(order)
-        cv = evaluate_conditions(cf, order, t)
+        key, short_len = to_frame_coords(c, frames), frames.spec[3]
+        cf = frozenset(decode(key, short_len))
+        assert cf == frames[0].apply_set(c)
+        cv = evaluate_conditions(key, short_len, t)
         assert cv == reference_evaluate(cf, t), (sorted(c), t)
         hits["c0"] += cv.c0
         hits["c1"] += cv.c1
         hits["c7"] += cv.c7
         hits["multi_frame"] += len(frames) > 1
+        hits["tail_alone"] += cv.V < short_len
+        hits["k2"] += k == 2
+        hits["end_past_s"] += max(t.h_target[1], t.t_target[1]) >= short_len
     assert min(hits.values()) > 50, hits

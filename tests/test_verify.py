@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from gridform import verify
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import LOOK, MOVE, Event, make_adversary, run
 from gridform.target import canonicalize_target
@@ -14,10 +13,11 @@ from gridform.verify import (
     check_collision_free,
     check_formed,
     check_phase_transitions,
-    oracle_pf_on_path,
 )
 
+import oracles
 from conftest import REF11, LINE11
+from oracles import oracle_pf_on_path
 
 LINE_TARGET = canonicalize_target(LINE11)
 
@@ -292,6 +292,6 @@ class TestPathOracle:
             return {i: i + (1 if goal > i else -1)
                     for i, goal in zip(robot_idx, target_idx) if i != goal}
 
-        monkeypatch.setattr(verify, "pf_on_path_moves", no_free_test)
+        monkeypatch.setattr(oracles, "pf_on_path_moves", no_free_test)
         res = oracle_pf_on_path((0, 1, 2), (3, 4, 5))
         assert [rule for _, rule, _ in res.verdict.violations] == ["collision"]
