@@ -253,12 +253,10 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
             raise
         return StepPlan(formed=False, phase=None, moves={},
                         stuck_symmetric=True)
-    # map back through the first frame's transpose, the frame unpacked once
-    a, b, c, d, tx, ty = frames[0]
-    ux, uy = -(a * tx + c * ty), -(b * tx + d * ty)
-    moves = {(a * x + c * y + ux, b * x + d * y + uy):
-             (a * u + c * v + ux, b * u + d * v + uy)
-             for (x, y), (u, v) in fm.items()}
+    back = frames.backs.get(frames.lead)  # the first frame's, kept per box
+    if back is None:
+        back = frames.backs[frames.lead] = _Memo(frames[0].inverse().apply)
+    moves = {back[src]: back[dst] for src, dst in fm.items()}
     for g in frames[1:]:
         other = {from_frame_coords(src, g): from_frame_coords(dst, g)
                  for src, dst in fm.items()}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
@@ -32,41 +33,63 @@ class CornerString:
     bits: str
 
 
-def _scan_specs(occupied: frozenset):
+def _scans(occupied: frozenset) -> tuple:
+    """``(specs, built, backs)`` for the bounding box of ``occupied``, from
+    the cache of boxes ``_box_scans``: the box's scan specs, ``built``, a
+    dict of scan index -> frame filled in the first time the scan wins, and
+    ``backs``, a dict of scan index -> a memo of that frame's inverse
+    ``apply``, filled the first time ``plan_moves`` maps moves back through
+    it. A miss builds only the specs, as an uncached call would."""
+    try:
+        xs, ys = zip(*occupied)
+    except ValueError:
+        raise ValueError("empty configuration") from None
+    return _box_scans(min(xs), max(xs), min(ys), max(ys))
+
+
+def _scan_specs(occupied: frozenset) -> tuple:
     """All (corner, x_row, y_row, short_len) scans of the bounding rectangle
     of ``occupied``. The scan's frame maps ``corner`` to the origin, its
     ``x_row`` (the direction scan lines advance in) to +x and its ``y_row``
     (the scanned side) to +y. A line has no scanned side: its y row is the
     local +y when the line is horizontal, else +x.
 
-    The list is in mate order: ``specs[-1 - i]`` is the mate of
+    The tuple is in mate order: ``specs[-1 - i]`` is the mate of
     ``specs[i]``, the scan from the opposite corner (the other end of a
     line) with the x row reversed, which reads the cells in reverse order.
     ``specs[0]`` and ``specs[-1]`` sit at the (min, min) and (max, max)
-    corners."""
-    try:
-        xs, ys = zip(*occupied)
-    except ValueError:
-        raise ValueError("empty configuration") from None
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    corners. The specs depend on the box alone, so they come from a cache
+    keyed by its position (``_scans``)."""
+    return _scans(occupied)[0]
+
+
+@lru_cache(maxsize=64)
+def _box_scans(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """``(specs, built, backs)`` for the box [x0, x1] x [y0, y1] (see
+    ``_scans``), the specs in mate order. A run moves one robot at a time,
+    so its boxes repeat: 64 entries hold the boxes of a run's recent plans.
+    A map-back memo holds the cells its plans asked for, which lie in the
+    box or one step out of it."""
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w == 1 or h == 1:  # a line: one string per end (a point has one)
         (dx, dy), y_row = ((1, 0), (0, 1)) if h == 1 else ((0, 1), (1, 0))
         ends = [((x0, y0), (dx, dy)), ((x1, y1), (-dx, -dy))]
-        return [(end, d, y_row, 1) for end, d in ends[:min(w * h, 2)]]
-    if h < w:  # the vertical side is the short one: scan it
-        return [((x0, y0), (1, 0), (0, 1), h), ((x1, y0), (-1, 0), (0, 1), h),
-                ((x0, y1), (1, 0), (0, -1), h),
-                ((x1, y1), (-1, 0), (0, -1), h)]
-    if w < h:
-        return [((x0, y0), (0, 1), (1, 0), w), ((x1, y0), (0, 1), (-1, 0), w),
-                ((x0, y1), (0, -1), (1, 0), w),
-                ((x1, y1), (0, -1), (-1, 0), w)]
-    # a square: both scans per corner
-    return [((x0, y0), (1, 0), (0, 1), w), ((x0, y0), (0, 1), (1, 0), w),
-            ((x1, y0), (-1, 0), (0, 1), w), ((x1, y0), (0, 1), (-1, 0), w),
-            ((x0, y1), (0, -1), (1, 0), w), ((x0, y1), (1, 0), (0, -1), w),
-            ((x1, y1), (0, -1), (-1, 0), w), ((x1, y1), (-1, 0), (0, -1), w)]
+        specs = tuple([(end, d, y_row, 1) for end, d in ends[:min(w * h, 2)]])
+    elif h < w:  # the vertical side is the short one: scan it
+        specs = (((x0, y0), (1, 0), (0, 1), h), ((x1, y0), (-1, 0), (0, 1), h),
+                 ((x0, y1), (1, 0), (0, -1), h),
+                 ((x1, y1), (-1, 0), (0, -1), h))
+    elif w < h:
+        specs = (((x0, y0), (0, 1), (1, 0), w), ((x1, y0), (0, 1), (-1, 0), w),
+                 ((x0, y1), (0, -1), (1, 0), w),
+                 ((x1, y1), (0, -1), (-1, 0), w))
+    else:  # a square: both scans per corner
+        specs = (((x0, y0), (1, 0), (0, 1), w), ((x0, y0), (0, 1), (1, 0), w),
+                 ((x1, y0), (-1, 0), (0, 1), w), ((x1, y0), (0, 1), (-1, 0), w),
+                 ((x0, y1), (0, -1), (1, 0), w), ((x0, y1), (1, 0), (0, -1), w),
+                 ((x1, y1), (0, -1), (-1, 0), w),
+                 ((x1, y1), (-1, 0), (0, -1), w))
+    return specs, {}, {}
 
 
 def _scan_key(occupied: frozenset, spec) -> tuple:
@@ -130,10 +153,12 @@ def is_asymmetric(c: Iterable[Point]) -> bool:
 
 class Frames(list):
     """What ``canonical_frames`` returns: the list of frames, plus the
-    winning scan's sorted ``key`` and its ``spec``. ``key`` is None when a
-    lone occupied corner won without one; ``to_frame_coords`` builds it."""
+    winning scan's sorted ``key``, its ``spec`` and index ``lead``, and its
+    box's ``backs`` (see ``_scans``), where ``plan_moves`` keeps the memo
+    that maps points of the first frame back. ``key`` is None when a lone
+    occupied corner won without one; ``to_frame_coords`` builds it."""
 
-    __slots__ = ("key", "spec")
+    __slots__ = ("key", "spec", "lead", "backs")
 
 
 def canonical_frames(c: Iterable[Point]) -> Frames:
@@ -154,7 +179,7 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
     and similarity of the final pattern is unaffected.
     """
     occupied = frozenset(c)
-    specs = _scan_specs(occupied)
+    specs, built, backs = _scans(occupied)
     n = len(specs)
     lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
     best = None
@@ -185,8 +210,10 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
         lead = won
         if len(lead) > 1:  # by corner, then by x row: unique per scan
             lead.sort(key=specs.__getitem__)
-    frames = Frames([_scan_frame(specs[i]) for i in lead])
+    frames = Frames([built.get(i) or built.setdefault(i, _scan_frame(specs[i]))
+                     for i in lead])
     frames.key, frames.spec = best, specs[lead[0]]
+    frames.backs, frames.lead = backs, lead[0]
     return frames
 
 

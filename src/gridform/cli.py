@@ -154,7 +154,7 @@ def cmd_run(args) -> int:
             f"{len(config)} robots but {len(raw_target)} target points"
         )
     target = canonicalize_target(raw_target)
-    fairness = args.fairness if args.fairness else 4 * len(config)
+    fairness = 4 * len(config) if args.fairness is None else args.fairness
     if fairness < 2 * len(config):
         raise CliError(f"--fairness must be at least 2k = {2 * len(config)} "
                        "(one full round)")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--adversary", default="random",
                     choices=list(scheduler.ADVERSARIES))
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fairness", type=int, default=0,
+    pr.add_argument("--fairness", type=int, default=None,
                     help="fairness window W (default 4k)")
     pr.add_argument("--max-events", type=int, default=100_000)
     pr.add_argument("--trace", help="write the event trace to this file")

@@ -77,10 +77,11 @@ def evaluate_conditions(key: tuple, short_len: int,
     head, tail = divmod(key[0], S), divmod(key[-1], S)
     # the key is x-major, so its ends give the widths. C spans all S rows;
     # C', C without the tail, spans fewer only if the tail alone may hold
-    # row 0 or row S - 1
-    if tail[1] == 0 or tail[1] == S - 1:
-        ys = [v % S for v in key[:-1]]
-        V = max(ys) - min(ys) + 1
+    # row 0 or row S - 1, and C' then holds the other one
+    if tail[1] == S - 1 and S > 1:  # C' holds row 0
+        V = max([v % S for v in key[:-1]]) + 1
+    elif tail[1] == 0 and S > 1:  # C' holds row S - 1
+        V = S - min([v % S for v in key[:-1]])
     else:
         V = S
     n, H = tail[0] - head[0] + 1, key[-2] // S - head[0] + 1

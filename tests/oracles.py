@@ -1,13 +1,19 @@
 """Brute-force oracles that only the tests use: the symmetries of a
-configuration by exhausting the isometries of its bounding rectangle, and
-phase 4's path protocol simulated under several activation orders."""
+configuration by exhausting the isometries of its bounding rectangle,
+phase 4's path protocol simulated under several activation orders, and the
+plan with its moves mapped back by arithmetic."""
 
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from gridform.algorithm import pf_on_path_moves
+from gridform.algorithm import (RuleViolation, StepPlan, pf_on_path_moves,
+                                phase_moves)
+from gridform.canonical import (canonical_frames, from_frame_coords,
+                                to_frame_coords)
+from gridform.conditions import (classify_phase, evaluate_conditions,
+                                 target_key)
 from gridform.geometry import Isometry, Point, bounding_rect
 from gridform.verify import Verdict
 
@@ -97,3 +103,40 @@ def oracle_pf_on_path(robots: tuple, targets: tuple,
                    f"order {order}: {steps} steps, expected {expected}")
         total = steps
     return PathOracleResult(total, v)
+
+
+def arithmetic_map_back(fm: dict, frame: Isometry) -> dict:
+    """Frame moves mapped back through ``frame``'s transpose, the frame
+    unpacked once: ``plan_moves``' map-back before it read a memo."""
+    a, b, c, d, tx, ty = frame
+    ux, uy = -(a * tx + c * ty), -(b * tx + d * ty)
+    return {(a * x + c * y + ux, b * x + d * y + uy):
+            (a * u + c * v + ux, b * u + d * v + uy)
+            for (x, y), (u, v) in fm.items()}
+
+
+def reference_plan_moves(points: Iterable[Point], t) -> StepPlan:
+    """``plan_moves`` with the first frame's map-back done by arithmetic
+    per mover (``arithmetic_map_back``)."""
+    points = frozenset(points)
+    frames = canonical_frames(points)
+    key = to_frame_coords(points, frames)
+    short_len = frames.spec[3]
+    if key == target_key(t, short_len)[1]:
+        return StepPlan(formed=True, phase="DONE", moves={})
+    try:
+        cv = evaluate_conditions(key, short_len, t)
+        phase = classify_phase(cv)
+        fm = phase_moves(key, cv, phase, t)
+    except RuleViolation:
+        if len(frames) == 1:
+            raise
+        return StepPlan(formed=False, phase=None, moves={},
+                        stuck_symmetric=True)
+    moves = arithmetic_map_back(fm, frames[0])
+    for g in frames[1:]:
+        other = {from_frame_coords(src, g): from_frame_coords(dst, g)
+                 for src, dst in fm.items()}
+        moves = {src: dst for src, dst in moves.items()
+                 if other.get(src) == dst}
+    return StepPlan(False, phase, moves, len(frames) > 1 and not moves)

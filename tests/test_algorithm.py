@@ -17,14 +17,17 @@ from gridform.algorithm import (
     snake_cell,
     snake_index,
 )
-from gridform.canonical import canonical_frames, holds, is_asymmetric
-from gridform.conditions import ConditionVector, evaluate_conditions
+from gridform.canonical import (_box_scans, canonical_frames, holds,
+                                is_asymmetric)
+from gridform.conditions import (ConditionVector, evaluate_conditions,
+                                 target_key)
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 from gridform.sampling import random_asymmetric_config, random_points
+from gridform.scheduler import _plan
 from gridform.target import TargetPattern, canonicalize_target
 
 from conftest import REF11, REF11_TAIL, LINE11, scan
-from oracles import oracle_pf_on_path
+from oracles import oracle_pf_on_path, reference_plan_moves
 
 
 def snake_path(m, n):
@@ -518,3 +521,105 @@ class TestPlanPin:
         assert counts == {"multi_frame": 1887, "row": 722, "column": 717,
                           "stuck": 1756, "violation": 88}
         assert h.hexdigest()[:16] == self.DIGEST
+
+
+def plan_or_violation(planner, c, t):
+    """``planner(c, t)``, or the message of the RuleViolation it raised."""
+    try:
+        return planner(c, t)
+    except RuleViolation as exc:
+        return ("RuleViolation", str(exc))
+
+
+class TestMapBackMemo:
+    """``plan_moves`` maps the rule's moves back through a memo of the first
+    frame's inverse, kept with its bounding box's scans. Cold or warm, the
+    plan equals the arithmetic map-back of ``reference_plan_moves``."""
+
+    FAR = (0, 7, -10**6, 10**12, -10**12)
+
+    @pytest.mark.parametrize("lin", LINEAR_CLASSES)
+    def test_every_linear_class_and_far_translations(self, lin):
+        """Each case cold, warm, and turned half about its box's centre:
+        the same box, usually won by another scan."""
+        counts = dict.fromkeys(("moves", "multi_frame", "violation"), 0)
+        for i, (c, t) in enumerate(pinned_cases(300, 20261019)):
+            g = lin._replace(tx=self.FAR[i % 5], ty=-self.FAR[i // 5 % 5])
+            image = g.apply_set(c)
+            r = bounding_rect(image)
+            turned = Isometry(-1, 0, 0, -1, r.min[0] + r.max[0],
+                              r.min[1] + r.max[1]).apply_set(image)
+            for case in (image, image, turned):
+                want = plan_or_violation(reference_plan_moves, case, t)
+                assert plan_or_violation(plan_moves, case, t) == want
+            if want[0] == "RuleViolation":
+                counts["violation"] += 1
+            else:
+                counts["moves"] += bool(want.moves)
+                counts["multi_frame"] += len(canonical_frames(turned)) > 1
+        assert min(counts.values()) > 3, counts
+
+    def test_configurations_sharing_a_box(self):
+        """Planned one after another in one box, each configuration maps
+        back through its own winning scan: first one with four frames,
+        then one won from each corner in turn."""
+        box = [(0, 0), (4, 0), (0, 2), (4, 2)]
+        t = canonicalize_target({(0, 0), (1, 0), (2, 0), (3, 0), (4, 1)})
+        c = frozenset(box + [(1, 0)])
+        cases = [frozenset(box + [(2, 1)])] + [g.apply_set(c) for g in (
+            Isometry(1, 0, 0, 1), Isometry(-1, 0, 0, 1, 4, 0),
+            Isometry(1, 0, 0, -1, 0, 2), Isometry(-1, 0, 0, -1, 4, 2))]
+        assert len(canonical_frames(cases[0])) == 4
+        assert len({canonical_frames(case).lead for case in cases[1:]}) == 4
+        for case in cases * 2:
+            want = reference_plan_moves(case, t)
+            assert plan_moves(case, t) == want
+            assert bool(want.moves) == (case != cases[0])
+
+    def test_scheduler_per_frame_plans_of_collinear_configurations(self):
+        """A collinear configuration is planned in each robot's own frame
+        and mapped back by the scheduler."""
+        rng = random.Random(20261019)
+        moved = 0
+        for i in range(120):
+            k = rng.randint(2, 8)
+            off, along = rng.choice(self.FAR), rng.sample(range(-9, 9), k)
+            c = frozenset((off + a, -off) if i % 2 else (off, off + a)
+                          for a in along)
+            t = canonicalize_target(random_points(k, 5, rng))
+            for frame in LINEAR_CLASSES:
+                local = plan_or_violation(
+                    reference_plan_moves, frame.apply_set(c), t)
+                got = plan_or_violation(
+                    lambda c, t: _plan({}, c, frame, t), c, t)
+                if local[0] == "RuleViolation":
+                    assert got == local
+                    continue
+                inv = frame.inverse()
+                assert got == local._replace(moves={
+                    inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
+                moved += bool(got.moves)
+        assert moved > 100
+
+    def test_caches_stay_within_their_bounds(self):
+        """After plans over more than 200 distinct frames, each cache holds
+        at most its bound of entries, and a map-back memo holds only cells
+        of its box or one step out of it, in frame coordinates."""
+        rng = random.Random(20261020)
+        frames_seen = set()
+        for c, t in pinned_cases(600, 20261020):
+            g = rng.choice(LINEAR_CLASSES)._replace(
+                tx=rng.randint(-10**9, 10**9), ty=rng.randint(-10**9, 10**9))
+            image = g.apply_set(c)
+            plan_or_violation(plan_moves, image, t)
+            frames = canonical_frames(image)
+            frames_seen.update(frames)
+            n = bounding_rect(frames[0].apply_set(image)).width_pts
+            short_len = frames.spec[3]
+            assert all(-1 <= x <= n and -1 <= y <= short_len
+                       for x, y in frames.backs.get(frames.lead, ()))
+        assert len(frames_seen) > 200
+        for cache in (_box_scans, target_key, _path_table):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        assert _box_scans.cache_info().currsize == 64

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridform import canonical
 from gridform.canonical import (
+    _box_scans,
     _scan_frame,
     _scan_key,
     _scan_specs,
@@ -580,6 +581,46 @@ class TestDecode:
         assert keyed == [frames.spec]
         assert key == (0, 5, 13) and frames.spec[3] == 3
         assert decode(key, 3) == [(0, 0), (1, 2), (4, 1)]
+
+
+def param_sets(test):
+    """The point sets of a test parametrized with (points, ...) cases."""
+    (mark,) = test.pytestmark
+    return [frozenset(case[0]) for case in mark.args[1]]
+
+
+class TestBoxCache:
+    """The scans of a bounding box come from a bounded cache keyed by the
+    box's position. The sets of ``TestLazyMate`` and ``TestDecode`` and
+    their half turns, same shapes at other positions, choose the
+    reference frames with the cache cold and warm, in either order."""
+
+    def test_cold_and_warm_cache_choose_the_reference_frames(self):
+        sets = (param_sets(TestLazyMate.test_cases_match_the_reference)
+                + param_sets(TestDecode.test_cases))
+        sets += [Isometry(-1, 0, 0, -1).apply_set(c) for c in sets]
+        for cases in (sets, sets[::-1]):
+            _box_scans.cache_clear()
+            for _ in ("cold", "warm"):
+                for c in cases:
+                    frames = assert_decode_is_the_sorted_image(c)
+                    assert frames == reference_lead(c)
+                    scans = dense_reference_scans(c)
+                    best = max(bits for bits, _ in scans)
+                    assert frames == sorted(
+                        (f for bits, f in scans if bits == best),
+                        key=lambda f: (origin(f), (f.a, f.b)))
+            info = _box_scans.cache_info()
+            assert info.hits >= len(cases) and info.currsize <= 64
+
+    def test_cached_specs_are_shared_tuples(self):
+        c = frozenset({(0, 0), (4, 2), (2, 1)})
+        specs = _scan_specs(c)
+        assert _scan_specs(set(c)) is specs  # a hit shares the entry
+        assert isinstance(specs, tuple)
+        assert all(isinstance(spec, tuple) for spec in specs)
+        with pytest.raises(TypeError):
+            specs[0] = specs[-1]
 
 
 def analyzed_ends(c):

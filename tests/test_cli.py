@@ -216,7 +216,7 @@ class TestRunCommand:
                        "--adversary", kind, "--max-events", "2"])
             assert rc == EXIT_LIMIT
 
-    @pytest.mark.parametrize("fairness", ["3", "1"])
+    @pytest.mark.parametrize("fairness", ["3", "1", "0", "-4"])
     def test_fairness_below_one_round_usage_error(self, tmp_path, fairness,
                                                   capsys):
         config, target = tmp_path / "c.txt", tmp_path / "t.txt"

@@ -296,3 +296,22 @@ def test_key_read_conditions_match_the_decoded_reference():
         hits["k2"] += k == 2
         hits["end_past_s"] += max(t.h_target[1], t.t_target[1]) >= short_len
     assert min(hits.values()) > 50, hits
+
+
+@pytest.mark.parametrize("cf, V", [
+    ({(0, 1), (1, 2), (2, 0)}, 2),
+    ({(0, 0), (1, 1), (2, 2)}, 2),
+    ({(0, 0), (1, 0), (3, 0)}, 1),
+    ({(0, 0), (1, 2), (2, 0)}, 3),
+    ({(0, 0), (1, 2), (2, 2)}, 3),
+    ({(0, 0), (1, 2), (2, 1)}, 3),
+], ids=["tail-on-row-0", "tail-on-row-S-1", "S-is-1",
+        "C'-also-on-row-0", "C'-also-on-row-S-1", "tail-inside"])
+def test_v_reads_one_extreme_of_c_prime(cf, V):
+    """C' spans fewer than S rows only when the tail alone holds row 0 or
+    row S - 1; V then comes from the other extreme of C' alone."""
+    cf = frozenset(cf)
+    t = canonicalize_target({(x, 0) for x in range(len(cf))})
+    cv = evaluate_conditions(*scan(cf), t)
+    assert cv.V == V
+    assert cv == reference_evaluate(cf, t)
