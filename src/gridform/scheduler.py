@@ -6,6 +6,10 @@ become. The adversary interleaves events in rounds: within a round every
 robot Looks once and Moves once (Look first), in an order of the
 adversary's choosing. Rounds give bounded fairness: any window of 4k events
 contains a complete cycle of every robot.
+
+Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
+inline. A Look re-reads the plan only when the configuration changed since
+the last refresh or the round began; a collinear one refreshes every Look.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ class Outcome:
     final: frozenset
     fault: Optional[str] = None  # collision | symmetric-input | stuck-symmetric | internal
     detail: Optional[str] = None  # the rule's message for a RuleViolation fault
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)`` inline: Fisher-Yates on the same draws."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
 
 
 class Adversary:
@@ -79,7 +95,7 @@ class RandomAdversary(Adversary):
 
     def round_order(self, k):
         tokens = list(range(k)) * 2
-        self._rng.shuffle(tokens)
+        _shuffle(self._rng, tokens)
         seen = set()
         order = []
         for r in tokens:
@@ -97,8 +113,8 @@ class MaxStaleAdversary(Adversary):
     def round_order(self, k):
         looks = list(range(k))
         moves = list(range(k))
-        self._rng.shuffle(looks)
-        self._rng.shuffle(moves)
+        _shuffle(self._rng, looks)
+        _shuffle(self._rng, moves)
         return [(r, LOOK) for r in looks] + [(r, MOVE) for r in moves]
 
 
@@ -156,35 +172,41 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     positions = initial
     plans: dict = {}
     event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
+    append = trace.append
 
     index = 0
     while True:
         moved = False
         all_formed = True
         any_stuck = False
+        seen = None  # the configuration the Look state below was read from
         for rid, kind in adversary.round_order(k):
             if index >= max_events:
                 return Outcome("LIMIT_EXCEEDED", trace, index, positions)
             here = pos[rid]
             if kind == LOOK:
-                plan = plans.get(positions)
-                if plan is None:
-                    try:
-                        plan = _plan(plans, positions, frames[rid], target)
-                    except RuleViolation as exc:
-                        return Outcome("FAULT", trace, index, positions,
-                                       fault="internal", detail=str(exc))
-                pending[rid] = plan.moves.get(here)
+                if positions is not seen:
+                    plan = plans.get(positions)
+                    if plan is None:
+                        try:
+                            plan = _plan(plans, positions, frames[rid], target)
+                        except RuleViolation as exc:
+                            return Outcome("FAULT", trace, index, positions,
+                                           fault="internal", detail=str(exc))
+                    if positions in plans:  # else collinear: per frame
+                        seen = positions
+                    decide, phase = plan.moves.get, plan.phase
+                    all_formed = all_formed and plan.formed
+                    any_stuck = any_stuck or plan.stuck_symmetric
+                pending[rid] = decide(here)
                 since[rid] = index
-                all_formed = all_formed and plan.formed
-                any_stuck = any_stuck or plan.stuck_symmetric
-                trace.append(event(Event, (index, rid, LOOK, here, None,
-                                           plan.phase, None)))
+                append(event(Event, (index, rid, LOOK, here, None, phase,
+                                     None)))
             else:
                 dest, pending[rid] = pending[rid], None
-                trace.append(event(Event, (index, rid, MOVE, here,
-                                           here if dest is None else dest,
-                                           None, since[rid])))
+                append(event(Event, (index, rid, MOVE, here,
+                                     here if dest is None else dest,
+                                     None, since[rid])))
                 if dest is not None:
                     if dest != here and dest in positions:
                         return Outcome("FAULT", trace, index + 1, positions,

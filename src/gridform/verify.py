@@ -45,25 +45,27 @@ def check_collision_free(trace: Iterable[Event]) -> Verdict:
     v = Verdict()
     positions: dict[int, Point] = {}
     count: dict[Point, int] = {}
-    for ev in trace:
-        # Event's first five fields, pinned by tests/test_verify.py
-        index, robot, kind, before, after = ev[:5]
+    for ev in trace:  # Event's fields by position: see ``Event._fields``
+        kind = ev[2]
         if kind not in (LOOK, MOVE):
             raise ValueError(f"malformed trace: unknown event kind {kind!r}")
+        robot, before = ev[1], ev[3]
         known = positions.get(robot)
         if known is None:
             if before in count:
-                v.flag(index, "collision",
+                v.flag(ev[0], "collision",
                        f"robot {robot} starts on an occupied cell")
             positions[robot] = before
             count[before] = count.get(before, 0) + 1
         elif known != before:
-            raise ValueError(
-                f"malformed trace: robot {robot} jumps at event {index}"
-            )
-        if kind == MOVE and after != before:
+            raise ValueError(f"malformed trace: robot {robot} jumps at "
+                             f"event {ev[0]}")
+        if kind == MOVE and (after := ev[4]) != before:
+            if after is None:
+                raise ValueError(f"malformed trace: robot {robot} moves to "
+                                 f"no cell at event {ev[0]}")
             if after in count:  # the mover stands on ``before``, not here
-                v.flag(index, "collision",
+                v.flag(ev[0], "collision",
                        f"robot {robot} moves onto an occupied cell")
             positions[robot] = after
             if count[before] == 1:
@@ -86,13 +88,14 @@ def check_phase_transitions(trace: Iterable[Event]) -> Verdict:
     (stuttering collapsed)."""
     v = Verdict()
     prev = None
-    for ev in trace:
-        if ev.kind != LOOK or ev.phase is None:
+    for ev in trace:  # Event's fields by position: see ``Event._fields``
+        phase = ev[5]
+        if phase is None or ev[2] != LOOK:
             continue
-        if prev is not None and ev.phase != prev:
-            if ev.phase not in PHASE_EDGES.get(prev, set()):
-                v.flag(ev.index, "phase-transition", f"{prev} -> {ev.phase}")
-        prev = ev.phase
+        if prev is not None and phase != prev:
+            if phase not in PHASE_EDGES.get(prev, ()):
+                v.flag(ev[0], "phase-transition", f"{prev} -> {phase}")
+        prev = phase
     return v
 
 

@@ -1,7 +1,8 @@
 """Brute-force oracles that only the tests use: the symmetries of a
 configuration by exhausting the isometries of its bounding rectangle,
-phase 4's path protocol simulated under several activation orders, and the
-plan with its moves mapped back by arithmetic."""
+phase 4's path protocol simulated under several activation orders, the
+plan with its moves mapped back by arithmetic, and the adversaries' round
+orders drawn through ``random.Random.shuffle``."""
 
 import itertools
 import random
@@ -15,6 +16,8 @@ from gridform.canonical import (canonical_frames, from_frame_coords,
 from gridform.conditions import (classify_phase, evaluate_conditions,
                                  target_key)
 from gridform.geometry import Isometry, Point, bounding_rect
+from gridform.scheduler import (LOOK, MOVE, MaxStaleAdversary,
+                                RandomAdversary, RoundRobinAdversary)
 from gridform.verify import Verdict
 
 MAX_ORDERS = 6  # activation orders ``oracle_pf_on_path`` samples for k > 3
@@ -140,3 +143,47 @@ def reference_plan_moves(points: Iterable[Point], t) -> StepPlan:
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
     return StepPlan(False, phase, moves, len(frames) > 1 and not moves)
+
+
+# The adversaries' ``round_order`` bodies as they were before the scheduler
+# shuffled inline with ``scheduler._shuffle``: each draw goes through
+# ``random.Random.shuffle``.
+
+class ReferenceRoundRobin(RoundRobinAdversary):
+    def round_order(self, k):
+        order = []
+        for r in range(k):
+            order.append((r, LOOK))
+            order.append((r, MOVE))
+        return order
+
+
+class ReferenceRandom(RandomAdversary):
+    def round_order(self, k):
+        tokens = list(range(k)) * 2
+        self._rng.shuffle(tokens)
+        seen = set()
+        order = []
+        for r in tokens:
+            if r in seen:
+                order.append((r, MOVE))
+            else:
+                seen.add(r)
+                order.append((r, LOOK))
+        return order
+
+
+class ReferenceMaxStale(MaxStaleAdversary):
+    def round_order(self, k):
+        looks = list(range(k))
+        moves = list(range(k))
+        self._rng.shuffle(looks)
+        self._rng.shuffle(moves)
+        return [(r, LOOK) for r in looks] + [(r, MOVE) for r in moves]
+
+
+REFERENCE_ADVERSARIES = {
+    "random": ReferenceRandom,
+    "round_robin": ReferenceRoundRobin,
+    "max_stale": ReferenceMaxStale,
+}

@@ -1,20 +1,27 @@
+import random
+from collections import Counter
+
 import pytest
 
 from gridform import scheduler
-from gridform.algorithm import RuleViolation, StepPlan
+from gridform.algorithm import RuleViolation, StepPlan, plan_moves
+from gridform.canonical import collinear
 from gridform.geometry import IDENTITY
+from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import (
     LOOK,
     MOVE,
     MaxStaleAdversary,
     RandomAdversary,
     RoundRobinAdversary,
+    _shuffle,
     make_adversary,
     run,
 )
 from gridform.target import TargetPattern, canonicalize_target
 
 from conftest import REF11, LINE11
+from oracles import REFERENCE_ADVERSARIES
 
 LINE_TARGET = canonicalize_target(LINE11)
 
@@ -68,6 +75,32 @@ class TestAdversaries:
         # the same draw for every adversary that does not override it
         assert MaxStaleAdversary(8, seed=1).robot_frames(50) == frames
         assert RoundRobinAdversary(8, seed=1).robot_frames(3) == [IDENTITY] * 3
+
+
+class TestDraws:
+    """The adversaries draw exactly as ``random.Random.shuffle`` does, so a
+    seed gives the same rounds, and the same traces, as it always has."""
+
+    def test_shuffle_matches_random_shuffle(self):
+        for n in range(81):
+            for seed in range(50):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                x, y = list(range(n)), list(range(n))
+                _shuffle(mine, x)
+                theirs.shuffle(y)
+                assert x == y, (n, seed)
+                assert mine.random() == theirs.random(), (n, seed)
+
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_round_orders_match_the_reference_bodies(self, kind):
+        for k in range(1, 41):
+            for seed in range(20):
+                adv = make_adversary(kind, 2 * k, seed)
+                ref = REFERENCE_ADVERSARIES[kind](2 * k, seed)
+                assert adv.robot_frames(k) == ref.robot_frames(k)
+                for r in range(30):  # the generator's state carries over
+                    assert adv.round_order(k) == ref.round_order(k), \
+                        (k, seed, r)
 
 
 class TestRun:
@@ -188,6 +221,103 @@ class TestCollision:
         assert out.events_used == 2
         assert out.final == REF11
         assert out.trace[-1].pos_after == (0, 3)
+
+
+def fixed_plan(*plans):
+    """A ``plan_moves`` stand-in: ``plans[0]`` for REF11, ``plans[-1]`` for
+    any other configuration."""
+    return lambda points, target: plans[0] if points == REF11 else plans[-1]
+
+
+class TestTermination:
+    K = len(REF11)
+
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_always_stuck_ends_after_one_round(self, monkeypatch, kind):
+        stuck = StepPlan(False, "P3", {}, stuck_symmetric=True)
+        monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(stuck))
+        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
+        assert (out.kind, out.fault) == ("FAULT", "stuck-symmetric")
+        assert out.events_used == len(out.trace) == 2 * self.K
+        assert out.final == REF11
+
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_not_formed_with_no_moves_is_internal(self, monkeypatch, kind):
+        idle = StepPlan(False, "P1", {})
+        monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(idle))
+        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
+        assert (out.kind, out.fault) == ("FAULT", "internal")
+        assert out.events_used == 2 * self.K
+
+    def test_each_round_rereads_the_plan(self, monkeypatch):
+        """Round 1 ends on the configuration its last Looks refreshed; round
+        2 must read that plan's flags again, or an idle, unformed swarm
+        would end as FORMED."""
+        first = StepPlan(False, "P1", {(0, 1): (0, 2)})
+        monkeypatch.setattr(scheduler, "plan_moves",
+                            fixed_plan(first, StepPlan(False, "P1", {})))
+        out = run(REF11, LINE_TARGET, make_adversary("round_robin", 44))
+        assert (out.kind, out.fault) == ("FAULT", "internal")
+        assert out.events_used == 4 * self.K
+        assert out.final == REF11 - {(0, 1)} | {(0, 2)}
+
+
+def plans_expected(initial, out, frames):
+    """What ``run`` must plan for ``out.trace``: each distinct
+    configuration seen at a Look, in global coordinates, or, for a
+    collinear one, its image in each distinct frame that Looked at it."""
+    cells = sorted(initial)
+    keys = set()
+    for ev in out.trace:
+        if ev.kind == LOOK:
+            c = frozenset(cells)
+            keys.add((c, frames[ev.robot]) if collinear(c) else c)
+        else:
+            cells[ev.robot] = ev.pos_after
+    return Counter(key if isinstance(key, frozenset)
+                   else key[1].apply_set(key[0]) for key in keys)
+
+
+class TestPlanRefresh:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(points, target):
+            calls[frozenset(points)] += 1
+            return plan_moves(points, target)
+
+        monkeypatch.setattr(scheduler, "plan_moves", counting)
+        return calls
+
+    def test_one_plan_per_configuration_on_seeded_runs(self, calls):
+        rng = random.Random(4)
+        for i in range(24):
+            k = rng.randint(3, 9)
+            config = random_asymmetric_config(k, 7, rng)
+            target = canonicalize_target(random_points(k, 7, rng))
+            kind = ("random", "round_robin", "max_stale")[i % 3]
+            calls.clear()
+            out = run(config, target, make_adversary(kind, 4 * k, i))
+            assert out.kind == "FORMED"
+            frames = make_adversary(kind, 4 * k, i).robot_frames(k)
+            assert calls == plans_expected(config, out, frames), i
+
+    def test_collinear_start_is_planned_per_frame(self, calls):
+        start = frozenset({(0, 0), (1, 0), (3, 0)})
+        target = canonicalize_target({(0, 0), (2, 0), (0, 1)})
+        split = 0
+        for seed in range(8):
+            calls.clear()
+            out = run(start, target, make_adversary("max_stale", 12, seed))
+            assert out.kind == "FORMED"
+            frames = make_adversary("max_stale", 12, seed).robot_frames(3)
+            assert calls == plans_expected(start, out, frames), seed
+            # every robot Looks at the start in round 1: one plan per frame
+            images = {f.apply_set(start) for f in frames}
+            assert sum(calls[i] for i in images) == len(set(frames)), seed
+            split += len(images) >= 2
+        assert split >= 4
 
 
 def test_empty_configuration_is_rejected():

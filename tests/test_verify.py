@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gridform.cli import read_trace
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import LOOK, MOVE, Event, make_adversary, run
 from gridform.target import canonicalize_target
@@ -54,6 +55,28 @@ class TestCollisionFree:
     def test_jump_is_malformed(self):
         trace = [look(0, 0, (0, 0)), look(1, 0, (5, 5))]
         with pytest.raises(ValueError, match="malformed"):
+            check_collision_free(trace)
+
+    def test_move_without_a_destination_is_malformed(self):
+        """A MOVE with no ``pos_after`` would send its robot to the cell
+        None, and its next event would then read as a first sighting."""
+        trace = [look(0, 0, (0, 0)), move(1, 0, (0, 0), None),
+                 look(2, 0, (7, 7))]
+        with pytest.raises(ValueError, match=r"^malformed trace: robot 0 "
+                           r"moves to no cell at event 1$"):
+            check_collision_free(trace)
+
+    def test_move_without_a_destination_from_a_trace_file(self):
+        lines = ['{"index": 0, "robot": 0, "kind": "LOOK_COMPUTE", '
+                 '"from": [0, 0]}',
+                 '{"index": 1, "robot": 0, "kind": "MOVE", "from": [0, 0], '
+                 '"snapshot": 0}',
+                 '{"index": 2, "robot": 0, "kind": "LOOK_COMPUTE", '
+                 '"from": [7, 7]}']
+        trace = read_trace(lines)
+        assert trace[1].pos_after is None
+        with pytest.raises(ValueError, match="malformed trace: robot 0 "
+                           "moves to no cell at event 1"):
             check_collision_free(trace)
 
     def test_unknown_kind_is_malformed(self):
@@ -136,11 +159,12 @@ class TestTracePin:
 
 class TestCollisionReplayMatchesReference:
     def test_event_fields_the_replay_reads(self):
-        """``check_collision_free`` reads an event's first five fields by
+        """``check_collision_free`` reads an event's first five fields and
+        ``check_phase_transitions`` its index, kind and phase, all by
         position; a reordered ``Event`` must fail here, not as a malformed
-        trace."""
-        assert Event._fields[:5] == (
-            "index", "robot", "kind", "pos_before", "pos_after")
+        trace or a missed transition."""
+        assert Event._fields[:6] == (
+            "index", "robot", "kind", "pos_before", "pos_after", "phase")
 
     def test_real_traces(self):
         for trace in real_traces(30, seed=5):
