@@ -10,27 +10,11 @@ scan indices (its key) are the canonical image that the planner reads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Optional
 
 from .geometry import Isometry, Point, bounding_rect
-
-
-@dataclass(frozen=True)
-class CornerString:
-    """Occupancy string scanned from ``corner``.
-
-    ``short_dir`` runs along the scanned side (None for a degenerate 1-wide
-    side), ``long_dir`` is the direction in which scan lines advance. Bit
-    ``i * short_len + j`` covers the point ``corner + i*long_dir + j*short_dir``.
-    """
-
-    corner: Point
-    short_dir: Optional[Point]
-    long_dir: Point
-    bits: str
 
 
 def _scans(occupied: frozenset) -> tuple:
@@ -40,36 +24,26 @@ def _scans(occupied: frozenset) -> tuple:
     ``backs``, a dict of scan index -> a memo of that frame's inverse
     ``apply``, filled the first time ``plan_moves`` maps moves back through
     it. A miss builds only the specs, as an uncached call would."""
-    try:
-        xs, ys = zip(*occupied)
-    except ValueError:
-        raise ValueError("empty configuration") from None
-    return _box_scans(min(xs), max(xs), min(ys), max(ys))
-
-
-def _scan_specs(occupied: frozenset) -> tuple:
-    """All (corner, x_row, y_row, short_len) scans of the bounding rectangle
-    of ``occupied``. The scan's frame maps ``corner`` to the origin, its
-    ``x_row`` (the direction scan lines advance in) to +x and its ``y_row``
-    (the scanned side) to +y. A line has no scanned side: its y row is the
-    local +y when the line is horizontal, else +x.
-
-    The tuple is in mate order: ``specs[-1 - i]`` is the mate of
-    ``specs[i]``, the scan from the opposite corner (the other end of a
-    line) with the x row reversed, which reads the cells in reverse order.
-    ``specs[0]`` and ``specs[-1]`` sit at the (min, min) and (max, max)
-    corners. The specs depend on the box alone, so they come from a cache
-    keyed by its position (``_scans``)."""
-    return _scans(occupied)[0]
+    return _box_scans(*bounding_rect(occupied))
 
 
 @lru_cache(maxsize=64)
-def _box_scans(x0: int, x1: int, y0: int, y1: int) -> tuple:
+def _box_scans(x0: int, y0: int, x1: int, y1: int) -> tuple:
     """``(specs, built, backs)`` for the box [x0, x1] x [y0, y1] (see
-    ``_scans``), the specs in mate order. A run moves one robot at a time,
-    so its boxes repeat: 64 entries hold the boxes of a run's recent plans.
-    A map-back memo holds the cells its plans asked for, which lie in the
-    box or one step out of it."""
+    ``_scans``). A run moves one robot at a time, so its boxes repeat: 64
+    entries hold the boxes of a run's recent plans. A map-back memo holds
+    the cells its plans asked for, which lie in the box or one step out of
+    it.
+
+    ``specs`` holds all (corner, x_row, y_row, short_len) scans of the box.
+    The scan's frame maps ``corner`` to the origin, its ``x_row`` (the
+    direction scan lines advance in) to +x and its ``y_row`` (the scanned
+    side) to +y. A line has no scanned side: its y row is the local +y when
+    the line is horizontal, else +x. The tuple is in mate order:
+    ``specs[-1 - i]`` is the mate of ``specs[i]``, the scan from the
+    opposite corner (the other end of a line) with the x row reversed,
+    which reads the cells in reverse order. ``specs[0]`` and ``specs[-1]``
+    sit at the (min, min) and (max, max) corners."""
     w, h = x1 - x0 + 1, y1 - y0 + 1
     if w == 1 or h == 1:  # a line: one string per end (a point has one)
         (dx, dy), y_row = ((1, 0), (0, 1)) if h == 1 else ((0, 1), (1, 0))
@@ -129,16 +103,17 @@ def collinear(points: Iterable[Point]) -> bool:
     return True
 
 
-def corner_strings(c: Iterable[Point]) -> list[CornerString]:
-    """The dense occupancy string of every scan. O(area), so only
-    ``analyze`` and the tests use it."""
+def corner_strings(c: Iterable[Point]) -> list[tuple]:
+    """``(spec, bits)`` for every scan: the dense occupancy string, its 1s
+    at the scan's key. O(area), so only ``analyze`` and the tests use it."""
     occupied = frozenset(c)
+    x0, y0, x1, y1 = box = bounding_rect(occupied)
     strings = []
-    for spec in _scan_specs(occupied):
-        corner, x_row, y_row, short_len = spec
-        bits = frame_string(occupied, _scan_frame(spec))
-        strings.append(CornerString(corner, y_row if short_len > 1 else None,
-                                    x_row, bits))
+    for spec in _box_scans(*box)[0]:
+        bits = ["0"] * ((x1 - x0 + 1) * (y1 - y0 + 1))
+        for i in _scan_key(occupied, spec):
+            bits[i] = "1"
+        strings.append((spec, "".join(bits)))
     return strings
 
 
@@ -175,7 +150,7 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
     the origin, its x row to +x and its y row to +y. A collinear ``c`` (or a
     single point) has no scanned side and no Y-axis agreement; its y row is
     the robot's own +y when the line is horizontal in its view (else +x),
-    as ``_scan_specs`` sets it. The two global outcomes are mirror images
+    as ``_box_scans`` sets it. The two global outcomes are mirror images
     and similarity of the final pattern is unaffected.
     """
     occupied = frozenset(c)
@@ -246,13 +221,3 @@ def holds(key, short_len: int, p: Point, lo: int = 0,
 def from_frame_coords(q: Point, f: Isometry) -> Point:
     """Map frame coordinates back to the coordinates ``f`` was built in."""
     return f.inverse().apply(q)
-
-
-def frame_string(c: Iterable[Point], f: Isometry) -> str:
-    """The occupancy string of ``c`` scanned in frame ``f``."""
-    cf = f.apply_set(c)
-    rf = bounding_rect(cf)
-    n, m = rf.width_pts, rf.height_pts
-    return "".join(
-        "1" if (i, j) in cf else "0" for i in range(n) for j in range(m)
-    )

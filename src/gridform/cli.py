@@ -86,19 +86,25 @@ def write_trace(trace: Iterable[scheduler.Event], out: TextIO):
 
 
 def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
+    """The events of a JSONL trace. A line that is not a JSON object with
+    the fields ``write_trace`` writes raises ``ValueError``."""
     events = []
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        events.append(scheduler.Event(
-            index=rec["index"], robot=rec["robot"], kind=rec["kind"],
-            pos_before=tuple(rec["from"]),
-            pos_after=tuple(rec["to"]) if "to" in rec else None,
-            phase=rec.get("phase"),
-            snapshot_index=rec.get("snapshot"),
-        ))
+        try:
+            rec = json.loads(line)
+            events.append(scheduler.Event(
+                index=rec["index"], robot=rec["robot"], kind=rec["kind"],
+                pos_before=tuple(rec["from"]),
+                pos_after=tuple(rec["to"]) if "to" in rec else None,
+                phase=rec.get("phase"),
+                snapshot_index=rec.get("snapshot"),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"no field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed trace: line {lineno}: {what}") from None
     return events
 
 
@@ -107,8 +113,8 @@ def render_ascii(points: frozenset, head: Optional[Point] = None,
                  targets: Optional[frozenset] = None) -> str:
     """Diagnostic grid picture: robots 'R', head 'H', tail 'T', target 'x'.
     A box of more than ``MAX_CELLS`` cells gets a one-line note."""
-    r = bounding_rect(set(points) | set(targets or ()))
-    (x0, y0), (x1, y1), area = r.min, r.max, r.width_pts * r.height_pts
+    x0, y0, x1, y1 = bounding_rect(set(points) | set(targets or ()))
+    area = (x1 - x0 + 1) * (y1 - y0 + 1)
     if area > MAX_CELLS:
         return f"picture not shown: {area} cells, over {MAX_CELLS}"
     rows = []
@@ -190,32 +196,32 @@ def cmd_run(args) -> int:
     return _OUTCOME_EXIT[outcome.kind]
 
 
-def _dir_name(d: Optional[Point]) -> str:
-    names = {(1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y", None: "?"}
+def _dir_name(d: Point) -> str:
+    names = {(1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y"}
     return names.get(d, str(d))
 
 
 def cmd_analyze(args) -> int:
     config = load_config(args.config)
-    r = bounding_rect(config)
-    area = r.width_pts * r.height_pts
+    x0, y0, x1, y1 = bounding_rect(config)
+    area = (x1 - x0 + 1) * (y1 - y0 + 1)
     strings = corner_strings(config) if area <= MAX_CELLS else []
     print(f"points: {len(config)}")
-    for cs in strings:
-        print(f"corner {cs.corner} short {_dir_name(cs.short_dir)} "
-              f"long {_dir_name(cs.long_dir)}: {cs.bits}")
-    if strings:
-        print(f"maximal string: {max(cs.bits for cs in strings)}")
+    for (corner, x_row, y_row, short_len), bits in strings:
+        short = _dir_name(y_row) if short_len > 1 else "?"
+        print(f"corner {corner} short {short} long {_dir_name(x_row)}: {bits}")
+    bits = [b for _, b in strings]
+    if bits:
+        print(f"maximal string: {max(bits)}")
     else:
         print(f"corner strings not shown: {area} cells, over {MAX_CELLS}")
     frames = canonical_frames(config)
     if len(frames) == 1:
         print("asymmetric: yes")
-    elif not strings:
+    elif not bits:
         print(f"symmetric ({len(frames)} maximal strings)")
     else:
-        dupes = sorted({cs.bits for cs in strings
-                        if sum(1 for o in strings if o.bits == cs.bits) > 1})
+        dupes = sorted({b for b in bits if bits.count(b) > 1})
         print(f"symmetric (duplicate strings: {', '.join(dupes)})")
     line = collinear(config)
     for f in frames:

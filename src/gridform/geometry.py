@@ -1,4 +1,4 @@
-"""Integer-lattice primitives: points, bounding rectangles, grid isometries.
+"""Integer-lattice primitives: points, bounding boxes, grid isometries.
 
 A configuration is a finite set of distinct lattice points, represented as a
 ``frozenset`` of ``(x, y)`` integer tuples. All operations here are pure.
@@ -6,7 +6,6 @@ A configuration is a finite set of distinct lattice points, represented as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 Point = tuple[int, int]
@@ -57,48 +56,33 @@ LINEAR_CLASSES = (
 IDENTITY = LINEAR_CLASSES[0]
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Tightest axis-aligned rectangle; side sizes count grid points."""
-
-    min: Point
-    max: Point
-
-    @property
-    def width_pts(self) -> int:
-        return self.max[0] - self.min[0] + 1
-
-    @property
-    def height_pts(self) -> int:
-        return self.max[1] - self.min[1] + 1
-
-
-def bounding_rect(c: Iterable[Point]) -> Rect:
-    """Smallest grid-aligned rectangle containing all points of ``c``."""
-    xs = [p[0] for p in c]
-    if not xs:
-        raise ValueError("empty configuration")
-    ys = [p[1] for p in c]
-    return Rect((min(xs), min(ys)), (max(xs), max(ys)))
+def bounding_rect(c: Iterable[Point]) -> tuple:
+    """The smallest grid-aligned box holding all points of ``c``, as its
+    corners ``(x0, y0, x1, y1)``: (x0, y0) the min, (x1, y1) the max."""
+    try:
+        xs, ys = zip(*c)
+    except ValueError:
+        raise ValueError("empty configuration") from None
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def similar(a: Iterable[Point], b: Iterable[Point]) -> Optional[Isometry]:
     """Witness isometry g with g(a) = b, or None.
 
-    Both sets are anchored by their bounding-rectangle corners, so only the
-    8 rotation/reflection classes need to be tried. A linear class maps
-    ``a``'s corners ``min`` and ``max`` to opposite corners of the image's
-    rectangle, which fixes the translation before ``a`` is mapped once.
+    Both sets are anchored by their bounding-box corners, so only the 8
+    rotation/reflection classes need to be tried. A linear class maps
+    ``a``'s corners (x0, y0) and (x1, y1) to opposite corners of the
+    image's box, which fixes the translation before ``a`` is mapped once.
     """
     a, b = frozenset(a), frozenset(b)
     if len(a) != len(b):
         return None
     if not a:
         return IDENTITY
-    ra = bounding_rect(a)
-    bx, by = bounding_rect(b).min
+    x0, y0, x1, y1 = bounding_rect(a)
+    bx, by, _, _ = bounding_rect(b)
     for lin in LINEAR_CLASSES:
-        (px, py), (qx, qy) = lin.apply(ra.min), lin.apply(ra.max)
+        (px, py), (qx, qy) = lin.apply((x0, y0)), lin.apply((x1, y1))
         g = Isometry(lin.a, lin.b, lin.c, lin.d,
                      bx - min(px, qx), by - min(py, qy))
         if g.apply_set(a) == b:

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .canonical import canonical_frames, decode, to_frame_coords
 from .geometry import Point
 
 
-@dataclass(frozen=True)
-class TargetPattern:
+class TargetPattern(NamedTuple):
     """The input pattern in canonical coordinates.
 
     The bounding rectangle is [0, N-1] x [0, M-1] with N >= M, and the
     occupancy string scanned from the origin (+y within a column, columns
     advancing +x) is lexicographically maximal among all corner strings.
-    C'' (no head, no tail) is derived on each read.
+    C'' (no head, no tail) is derived on each read. A named tuple, as
+    ``Isometry`` is, so the plan caches that key on it hash it in C.
     """
 
     points: frozenset

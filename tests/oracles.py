@@ -1,8 +1,9 @@
 """Brute-force oracles that only the tests use: the symmetries of a
-configuration by exhausting the isometries of its bounding rectangle,
-phase 4's path protocol simulated under several activation orders, the
-plan with its moves mapped back by arithmetic, and the adversaries' round
-orders drawn through ``random.Random.shuffle``."""
+configuration by exhausting the isometries of its bounding rectangle, its
+dense occupancy string in a frame, phase 4's path protocol simulated under
+several activation orders, the plan with its moves mapped back by
+arithmetic, and the adversaries' round orders drawn through
+``random.Random.shuffle``."""
 
 import itertools
 import random
@@ -33,23 +34,33 @@ def brute_force_symmetries(c: Iterable[Point]) -> list[Isometry]:
     configuration) still swaps the corner scans and counts.
     """
     occupied = frozenset(c)
-    r = bounding_rect(occupied)
-    (x0, y0), (x1, y1) = r.min, r.max
+    x0, y0, x1, y1 = bounding_rect(occupied)
     candidates = [
         Isometry(-1, 0, 0, 1, x0 + x1, 0),         # vertical axis
         Isometry(1, 0, 0, -1, 0, y0 + y1),         # horizontal axis
         Isometry(-1, 0, 0, -1, x0 + x1, y0 + y1),  # 180 deg
     ]
-    if r.width_pts == r.height_pts:
+    if x1 - x0 == y1 - y0:
         candidates += [  # main diagonal, anti-diagonal, 90 deg CW, CCW
             Isometry(0, 1, 1, 0, x0 - y0, y0 - x0),
             Isometry(0, -1, -1, 0, x0 + y1, y0 + x1),
             Isometry(0, 1, -1, 0, x0 - y0, y0 + x1),
             Isometry(0, -1, 1, 0, x0 + y1, y0 - x0),
         ]
-    degenerate = r.width_pts == 1 or r.height_pts == 1
+    degenerate = x0 == x1 or y0 == y1
     return [g for g in candidates if g.apply_set(occupied) == occupied
             and not (degenerate and all(g.apply(p) == p for p in occupied))]
+
+
+def frame_string(c: Iterable[Point], f: Isometry) -> str:
+    """The occupancy string of ``c`` scanned in frame ``f``, cell by cell:
+    the reference for the strings ``corner_strings`` builds from keys."""
+    cf = f.apply_set(c)
+    x0, y0, x1, y1 = bounding_rect(cf)
+    n, m = x1 - x0 + 1, y1 - y0 + 1
+    return "".join(
+        "1" if (i, j) in cf else "0" for i in range(n) for j in range(m)
+    )
 
 
 @dataclass

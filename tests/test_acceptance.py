@@ -188,8 +188,8 @@ def test_criterion_6_frame_invariance():
     while checked < 1000:
         k = rng.randint(3, 9)
         c = random_asymmetric_config(k, 8, rng)
-        r = bounding_rect(c)
-        if r.width_pts == 1 or r.height_pts == 1:
+        x0, y0, x1, y1 = bounding_rect(c)
+        if x0 == x1 or y0 == y1:
             continue
         t = canonicalize_target(random_points(k, 6, rng))
         base = plan_moves(c, t)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -208,7 +207,7 @@ class TestPhaseRules:
         # another interior cell as h_target leaves the real head, the
         # origin, in the derived c_double_prime
         other = min(target.c_double_prime)
-        bad = dataclasses.replace(target, h_target=other)
+        bad = target._replace(h_target=other)
         assert (0, 0) in bad.c_double_prime
         with pytest.raises(RuleViolation, match="interior target at the origin"):
             phase_moves(key, evaluate_conditions(key, short_len, target),
@@ -411,8 +410,8 @@ class TestPlanProperties:
         for _ in range(150):
             k = rng.randint(3, 8)
             c = random_asymmetric_config(k, 7, rng)
-            r = bounding_rect(c)
-            if r.width_pts == 1 or r.height_pts == 1:
+            x0, y0, x1, y1 = bounding_rect(c)
+            if x0 == x1 or y0 == y1:
                 continue
             t = canonicalize_target(random_points(k, 5, rng))
             base = plan_moves(c, t)
@@ -487,8 +486,8 @@ def pinned_cases(n, seed):
             t = canonicalize_target(random_points(len(c), 6, rng))
         if rng.random() < 0.25:
             pts = sorted(t.points)
-            t = dataclasses.replace(
-                t, M=rng.randint(1, t.M), N=rng.randint(1, t.N),
+            t = t._replace(
+                M=rng.randint(1, t.M), N=rng.randint(1, t.N),
                 h_target=rng.choice(pts), t_target=rng.choice(pts))
         yield c, t
 
@@ -546,9 +545,8 @@ class TestMapBackMemo:
         for i, (c, t) in enumerate(pinned_cases(300, 20261019)):
             g = lin._replace(tx=self.FAR[i % 5], ty=-self.FAR[i // 5 % 5])
             image = g.apply_set(c)
-            r = bounding_rect(image)
-            turned = Isometry(-1, 0, 0, -1, r.min[0] + r.max[0],
-                              r.min[1] + r.max[1]).apply_set(image)
+            x0, y0, x1, y1 = bounding_rect(image)
+            turned = Isometry(-1, 0, 0, -1, x0 + x1, y0 + y1).apply_set(image)
             for case in (image, image, turned):
                 want = plan_or_violation(reference_plan_moves, case, t)
                 assert plan_or_violation(plan_moves, case, t) == want
@@ -614,7 +612,8 @@ class TestMapBackMemo:
             plan_or_violation(plan_moves, image, t)
             frames = canonical_frames(image)
             frames_seen.update(frames)
-            n = bounding_rect(frames[0].apply_set(image)).width_pts
+            x0, _, x1, _ = bounding_rect(frames[0].apply_set(image))
+            n = x1 - x0 + 1
             short_len = frames.spec[3]
             assert all(-1 <= x <= n and -1 <= y <= short_len
                        for x, y in frames.backs.get(frames.lead, ()))

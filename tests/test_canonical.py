@@ -13,12 +13,11 @@ from gridform.canonical import (
     _box_scans,
     _scan_frame,
     _scan_key,
-    _scan_specs,
+    _scans,
     canonical_frames,
     collinear,
     corner_strings,
     decode,
-    frame_string,
     from_frame_coords,
     is_asymmetric,
     to_frame_coords,
@@ -27,7 +26,7 @@ from gridform.cli import format_config, main
 from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 
 from conftest import REF11, REF11_HEAD, REF11_STRING, REF11_TAIL
-from oracles import brute_force_symmetries
+from oracles import brute_force_symmetries, frame_string
 
 points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
@@ -111,7 +110,7 @@ def reference_frames(c):
     """The selection without the corner filter: every scan keyed, the
     minimal keys win, sorted by origin and then by x row."""
     c = frozenset(c)
-    scans = [(spec, _scan_key(c, spec)) for spec in _scan_specs(c)]
+    scans = [(spec, _scan_key(c, spec)) for spec in _scans(c)[0]]
     best = min(key for _, key in scans)
     frames = []
     for (ox, oy), (xa, xb), (ya, yb), _ in sorted(
@@ -134,13 +133,12 @@ def dense_reference_scans(c):
     the y row +y when it lies along x, else +x; a single point has the one
     frame with x row +x."""
     c = frozenset(c)
-    r = bounding_rect(c)
+    x0, y0, x1, y1 = bounding_rect(c)
     if len(c) == 1:
-        f = Isometry(1, 0, 0, 1, -r.min[0], -r.min[1])
+        f = Isometry(1, 0, 0, 1, -x0, -y0)
         return [(frame_string(c, f), f)]
-    collinear = r.width_pts == 1 or r.height_pts == 1
-    corners = {(x, y) for x in (r.min[0], r.max[0])
-               for y in (r.min[1], r.max[1])}
+    collinear = x0 == x1 or y0 == y1
+    corners = {(x, y) for x in (x0, x1) for y in (y0, y1)}
     frames = set()
     for ox, oy in corners:
         for lin in LINEAR_CLASSES:
@@ -153,8 +151,8 @@ def dense_reference_scans(c):
                                 -(ya * ox + yb * oy)))
     scans = []
     for f in frames:
-        rf = bounding_rect(f.apply_set(c))
-        if rf.min == (0, 0) and rf.width_pts >= rf.height_pts:
+        fx0, fy0, fx1, fy1 = bounding_rect(f.apply_set(c))
+        if (fx0, fy0) == (0, 0) and fx1 - fx0 >= fy1 - fy0:
             scans.append((frame_string(c, f), f))
     return scans
 
@@ -167,63 +165,66 @@ class TestCornerStrings:
     def test_ref11_maximum(self):
         strings = corner_strings(REF11)
         assert len(strings) == 4
-        values = [cs.bits for cs in strings]
+        values = [bits for _, bits in strings]
         assert max(values) == REF11_STRING
         assert values.count(REF11_STRING) == 1
-        best = next(cs for cs in strings if cs.bits == REF11_STRING)
-        assert best.corner == (0, 0)
-        assert best.short_dir == (0, 1)
-        assert best.long_dir == (1, 0)
+        (corner, x_row, y_row, short_len), _ = next(
+            s for s in strings if s[1] == REF11_STRING)
+        assert corner == (0, 0)
+        assert short_len > 1 and y_row == (0, 1)  # the scanned side
+        assert x_row == (1, 0)
 
     def test_line_has_two_strings(self):
         strings = corner_strings(LINE_1101)
-        assert sorted(cs.bits for cs in strings) == ["1011", "1101"]
+        assert sorted(bits for _, bits in strings) == ["1011", "1101"]
 
     def test_square_has_eight_strings(self):
         strings = corner_strings(TROMINO_2x2)
         assert len(strings) == 8
-        values = [cs.bits for cs in strings]
+        values = [bits for _, bits in strings]
         assert values.count("1110") == 2
         # both maximal scans start at the same corner
-        assert {cs.corner for cs in strings if cs.bits == "1110"} == {(0, 1)}
+        assert {spec[0] for spec, bits in strings
+                if bits == "1110"} == {(0, 1)}
 
     def test_single_point(self):
         strings = corner_strings({(3, -2)})
         assert len(strings) == 1
-        assert strings[0].bits == "1"
+        assert strings[0][1] == "1"
 
     def test_bit_count_is_population(self):
-        for cs in corner_strings(REF11):
-            assert cs.bits.count("1") == len(REF11)
-            assert len(cs.bits) == 48
+        for _, bits in corner_strings(REF11):
+            assert bits.count("1") == len(REF11)
+            assert len(bits) == 48
 
     @given(c=points_strategy)
     def test_round_trip_decodes_the_configuration(self, c):
-        for cs in corner_strings(c):
+        for spec, bits in corner_strings(c):
+            corner, long_dir, short_dir, short_len = spec
             decoded = set()
-            for idx, bit in enumerate(cs.bits):
+            for idx, bit in enumerate(bits):
                 if bit != "1":
                     continue
-                if cs.short_dir is None:
+                if short_len == 1:  # a line: no scanned side
                     i, j = idx, 0
                     sd = (0, 0)
                 else:
-                    r = bounding_rect(c)
-                    short_len = (r.height_pts
-                                 if cs.short_dir[0] == 0 else r.width_pts)
-                    i, j = divmod(idx, short_len)
-                    sd = cs.short_dir
+                    x0, y0, x1, y1 = bounding_rect(c)
+                    side = y1 - y0 + 1 if short_dir[0] == 0 else x1 - x0 + 1
+                    assert side == short_len
+                    i, j = divmod(idx, side)
+                    sd = short_dir
                 decoded.add((
-                    cs.corner[0] + i * cs.long_dir[0] + j * sd[0],
-                    cs.corner[1] + i * cs.long_dir[1] + j * sd[1],
+                    corner[0] + i * long_dir[0] + j * sd[0],
+                    corner[1] + i * long_dir[1] + j * sd[1],
                 ))
             assert decoded == set(c)
 
     @settings(max_examples=60)
     @given(c=points_strategy, g=isometry_strategy)
     def test_string_multiset_is_isometry_invariant(self, c, g):
-        ours = sorted(cs.bits for cs in corner_strings(c))
-        theirs = sorted(cs.bits for cs in corner_strings(g.apply_set(c)))
+        ours = sorted(bits for _, bits in corner_strings(c))
+        theirs = sorted(bits for _, bits in corner_strings(g.apply_set(c)))
         assert ours == theirs
 
 
@@ -255,8 +256,8 @@ class TestCollinear:
     @example(c=frozenset({(3, -2)}))
     @example(c=frozenset({(0, 0), (1, 1)}))
     def test_is_a_one_wide_or_one_high_rectangle(self, c):
-        r = bounding_rect(c)
-        assert collinear(c) == (r.width_pts == 1 or r.height_pts == 1)
+        x0, y0, x1, y1 = bounding_rect(c)
+        assert collinear(c) == (x0 == x1 or y0 == y1)
 
 
 class TestBruteForceSymmetries:
@@ -284,8 +285,8 @@ class TestBruteForceSymmetries:
 
     @given(c=points_strategy)
     def test_reported_symmetries_preserve_occupancy(self, c):
-        r = bounding_rect(c)
-        degenerate = r.width_pts == 1 or r.height_pts == 1
+        x0, y0, x1, y1 = bounding_rect(c)
+        degenerate = x0 == x1 or y0 == y1
         for g in brute_force_symmetries(c):
             assert g.apply_set(c) == frozenset(c)
             if degenerate:
@@ -310,12 +311,12 @@ class TestCanonicalFrames:
     @settings(max_examples=100)
     @given(c=points_strategy)
     def test_frame_count_is_max_multiplicity(self, c):
-        values = [cs.bits for cs in corner_strings(c)]
+        values = [bits for _, bits in corner_strings(c)]
         assert len(canonical_frames(c)) == values.count(max(values))
 
     @given(c=points_strategy)
     def test_frame_string_is_the_maximum(self, c):
-        best = max(cs.bits for cs in corner_strings(c))
+        best = max(bits for _, bits in corner_strings(c))
         for f in canonical_frames(c):
             assert frame_string(c, f) == best
 
@@ -347,17 +348,16 @@ class TestScanMates:
     @example(c=frozenset({(2, 0), (2, 1), (2, 3)}))
     @example(c=TROMINO_2x2)
     def test_mate_key_is_the_reversed_complement(self, c):
-        r = bounding_rect(c)
-        top = r.width_pts * r.height_pts - 1
-        specs = _scan_specs(c)
+        x0, y0, x1, y1 = bounding_rect(c)
+        top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1
+        specs = _scans(c)[0]
         for i, spec in enumerate(specs):
             mate = specs[-1 - i]
             key = _scan_key(c, spec)
             assert _scan_key(c, mate) == tuple(top - v for v in reversed(key))
             if len(specs) > 1:  # else the single point is its own mate
                 (cx, cy), (lx, ly), _, _ = spec
-                assert mate[0] == (r.min[0] + r.max[0] - cx,
-                                   r.min[1] + r.max[1] - cy)
+                assert mate[0] == (x0 + x1 - cx, y0 + y1 - cy)
                 assert mate[1] == (-lx, -ly)
 
     @pytest.mark.parametrize("c", [
@@ -366,11 +366,11 @@ class TestScanMates:
         frozenset({(1, 0), (4, 1), (0, 3), (3, 4)}),
     ])
     def test_each_square_scan_has_exactly_one_mate(self, c, monkeypatch):
-        specs = _scan_specs(c)
+        specs = _scans(c)[0]
         assert len(set(specs)) == 8
-        r = bounding_rect(c)
+        x0, y0, x1, y1 = bounding_rect(c)
         for i, ((cx, cy), (lx, ly), _, _) in enumerate(specs):
-            opposite = (r.min[0] + r.max[0] - cx, r.min[1] + r.max[1] - cy)
+            opposite = (x0 + x1 - cx, y0 + y1 - cy)
             mates = [j for j, s in enumerate(specs)
                      if s[0] == opposite and s[1] == (-lx, -ly)]
             assert mates == [7 - i]
@@ -395,7 +395,7 @@ def reference_lead(c):
     occupied, one key is sorted and the mate's reversed complement is
     always built in full."""
     occupied = frozenset(c)
-    specs = _scan_specs(occupied)
+    specs = _scans(occupied)[0]
     n = len(specs)
     lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
     if len(lead) > 1:
@@ -439,7 +439,7 @@ class TestLazyMate:
         mate, so a pair is won once by the keyed scan and once by its
         mate."""
         c = frozenset(c)
-        specs = _scan_specs(c)
+        specs = _scans(c)[0]
         n = len(specs)
         lead = [i for i in range(n) if specs[i][0] in c]
         assert len([i for i in lead
@@ -468,7 +468,7 @@ class TestWideSparseRectangles:
         expected = sorted((f for bits, f in scans if bits == best),
                           key=lambda f: (origin(f), (f.a, f.b)))
         assert canonical_frames(c) == expected
-        assert (sorted(cs.bits for cs in corner_strings(c))
+        assert (sorted(bits for _, bits in corner_strings(c))
                 == sorted(bits for bits, _ in scans))
 
     @settings(max_examples=300)
@@ -515,9 +515,9 @@ class TestFrameCoords:
     def test_canonical_coords_fill_first_quadrant_corner(self, c):
         f = canonical_frames(c)[0]
         cf = f.apply_set(c)
-        r = bounding_rect(cf)
-        assert r.min == (0, 0)
-        assert r.width_pts >= r.height_pts
+        x0, y0, x1, y1 = bounding_rect(cf)
+        assert (x0, y0) == (0, 0)
+        assert x1 - x0 >= y1 - y0
 
 
 def assert_decode_is_the_sorted_image(c):
@@ -615,13 +615,40 @@ class TestBoxCache:
 
     def test_cached_specs_are_shared_tuples(self):
         c = frozenset({(0, 0), (4, 2), (2, 1)})
-        specs = _scan_specs(c)
-        assert _scan_specs(set(c)) is specs  # a hit shares the entry
+        specs = _scans(c)[0]
+        assert _scans(set(c))[0] is specs  # a hit shares the entry
         assert isinstance(specs, tuple)
         assert all(isinstance(spec, tuple) for spec in specs)
         with pytest.raises(TypeError):
             specs[0] = specs[-1]
 
+
+
+def assert_strings_are_the_dense_reference(c):
+    strings = corner_strings(c)
+    assert [spec for spec, _ in strings] == list(_scans(c)[0])
+    for spec, bits in strings:
+        assert bits == frame_string(c, _scan_frame(spec)), (sorted(c), spec)
+
+
+class TestKeyBuiltStrings:
+    """``corner_strings`` sets each string's 1s at its scan's key; the
+    reference ``frame_string`` reads every cell of the box in the scan's
+    frame. They agree on every scan, far off the origin too."""
+
+    @pytest.mark.parametrize(
+        "c", param_sets(TestDecode.test_cases)
+        + [{(5, -1), (5, 0), (5, 4)}, {(10**12, 7)}, {(-10**12, 3)}])
+    def test_cases(self, c):
+        assert_strings_are_the_dense_reference(c)
+
+    @settings(max_examples=300)
+    @given(c=st.one_of(points_strategy, wide_sparse_points(), corner_points(),
+                       symmetric_points()),
+           g=isometry_strategy, far=st.sampled_from([0, -10**12, 10**12]))
+    def test_every_scan_matches_the_dense_reference(self, c, g, far):
+        g = g._replace(tx=g.tx + far, ty=g.ty - far)
+        assert_strings_are_the_dense_reference(g.apply_set(c))
 
 def analyzed_ends(c):
     """The head and the tail that ``gridform analyze`` prints for ``c``."""

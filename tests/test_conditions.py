@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -172,8 +171,8 @@ def lifted(cf, t):
     and C7 compare point sets, which a translation keeps."""
     def up(p):
         return (p[0], p[1] + 1)
-    return frozenset(map(up, cf)), dataclasses.replace(
-        t, points=frozenset(map(up, t.points)), M=t.M + 1,
+    return frozenset(map(up, cf)), t._replace(
+        points=frozenset(map(up, t.points)), M=t.M + 1,
         h_target=up(t.h_target), t_target=up(t.t_target))
 
 

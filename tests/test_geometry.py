@@ -23,20 +23,15 @@ isometry_strategy = st.builds(
 
 class TestBoundingRect:
     def test_single_point(self):
-        r = bounding_rect({(0, 0)})
-        assert r.min == r.max == (0, 0)
-        assert r.width_pts == r.height_pts == 1
+        assert bounding_rect({(0, 0)}) == (0, 0, 0, 0)
 
     def test_ref11_is_8_by_6(self, ref11):
-        r = bounding_rect(ref11)
-        assert (r.width_pts, r.height_pts) == (8, 6)
+        x0, y0, x1, y1 = bounding_rect(ref11)
+        assert (x1 - x0 + 1, y1 - y0 + 1) == (8, 6)
 
     def test_collinear_pair(self):
-        r = bounding_rect({(2, 3), (5, 3)})
-        assert r.min == (2, 3)
-        assert r.max == (5, 3)
-        assert r.width_pts == 4
-        assert r.height_pts == 1
+        # (x0, y0) = (2, 3), (x1, y1) = (5, 3): 4 points wide, 1 high
+        assert bounding_rect({(2, 3), (5, 3)}) == (2, 3, 5, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty configuration"):
@@ -76,8 +71,8 @@ class TestIsometry:
     @given(g=isometry_strategy, c=points_strategy)
     def test_bounding_rect_covariant(self, g, c):
         img = g.apply_set(c)
-        r = bounding_rect(c)
-        corners = {r.min, r.max, (r.min[0], r.max[1]), (r.max[0], r.min[1])}
+        x0, y0, x1, y1 = bounding_rect(c)
+        corners = {(x0, y0), (x1, y1), (x0, y1), (x1, y0)}
         expected = bounding_rect(g.apply_set(corners))
         assert bounding_rect(img) == expected
 

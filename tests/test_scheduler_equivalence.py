@@ -134,8 +134,8 @@ def test_run_matches_reference_from_collinear_starts(kind):
             positions = set(line)
             for ev in out.trace:
                 if ev.kind == LOOK:
-                    r = bounding_rect(positions)
-                    collinear += r.width_pts == 1 or r.height_pts == 1
+                    x0, y0, x1, y1 = bounding_rect(positions)
+                    collinear += x0 == x1 or y0 == y1
                 elif ev.pos_after != ev.pos_before:
                     positions.discard(ev.pos_before)
                     positions.add(ev.pos_after)

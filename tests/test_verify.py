@@ -88,6 +88,34 @@ class TestCollisionFree:
         assert check_collision_free(out.trace).passed
 
 
+class TestReadTrace:
+    """A bad line raises ``ValueError`` that names its line, counted with
+    blank lines, in place of the raw error of the JSON decoder or of a
+    field lookup."""
+
+    GOOD = '{"index": 0, "robot": 0, "kind": "LOOK_COMPUTE", "from": [0, 0]}'
+
+    def rejects(self, bad, detail):
+        with pytest.raises(ValueError) as info:
+            read_trace([self.GOOD, "", bad])
+        assert info.type is ValueError
+        assert str(info.value).startswith("malformed trace: line 3: ")
+        assert detail in str(info.value)
+
+    def test_missing_from(self):
+        self.rejects('{"index": 1, "robot": 0, "kind": "LOOK_COMPUTE"}',
+                     "no field 'from'")
+
+    def test_line_that_is_not_an_object(self):
+        self.rejects('[1, 0, "LOOK_COMPUTE", [0, 0]]', "list indices")
+
+    def test_from_that_is_not_a_pair(self):
+        self.rejects('{"index": 1, "robot": 0, "kind": "LOOK_COMPUTE", '
+                     '"from": 5}', "'int' object is not iterable")
+
+    def test_invalid_json(self):
+        self.rejects('{"index": 1, "robot": 0,', "Expecting property name")
+
 def reference_collision_free(trace):
     """The O(k)-per-event replay ``check_collision_free`` replaced: the
     other robots' cells are rebuilt on every move and a new robot is
