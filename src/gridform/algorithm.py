@@ -17,7 +17,7 @@ from .canonical import (canonical_frames, decode, from_frame_coords, holds,
                         to_frame_coords)
 from .conditions import (ConditionVector, classify_phase, evaluate_conditions,
                          has_horizontal_reflection, target_key)
-from .geometry import Point
+from .geometry import Isometry, Point
 from .target import TargetPattern
 
 
@@ -117,6 +117,14 @@ class _Memo(dict):
     def __missing__(self, key):
         self[key] = value = self.fn(key)
         return value
+
+
+@lru_cache(maxsize=8)
+def _back(frame: Isometry) -> _Memo:
+    """A memo of ``frame``'s inverse ``apply`` to map moves back, keyed by
+    the frame, not its box: a run's new boxes are mostly won by a frame it
+    has met, so their memos start warm."""
+    return _Memo(frame.inverse().apply)
 
 
 _PREFILL = 1024  # over the 306 cells of the largest benchmark P4 path
@@ -243,7 +251,7 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     key = to_frame_coords(points, frames)
     short_len = frames.spec[3]
     if key == target_key(t, short_len)[1]:
-        return StepPlan(formed=True, phase="DONE", moves={})
+        return tuple.__new__(StepPlan, (True, "DONE", {}, False))
     try:
         cv = evaluate_conditions(key, short_len, t)
         phase = classify_phase(cv)
@@ -251,15 +259,15 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     except RuleViolation:
         if len(frames) == 1:
             raise
-        return StepPlan(formed=False, phase=None, moves={},
-                        stuck_symmetric=True)
-    back = frames.backs.get(frames.lead)  # the first frame's, kept per box
+        return tuple.__new__(StepPlan, (False, None, {}, True))
+    back = frames.backs.get(frames.lead)  # the box's link to _back(frames[0])
     if back is None:
-        back = frames.backs[frames.lead] = _Memo(frames[0].inverse().apply)
+        back = frames.backs[frames.lead] = _back(frames[0])
     moves = {back[src]: back[dst] for src, dst in fm.items()}
     for g in frames[1:]:
         other = {from_frame_coords(src, g): from_frame_coords(dst, g)
                  for src, dst in fm.items()}
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
-    return StepPlan(False, phase, moves, len(frames) > 1 and not moves)
+    return tuple.__new__(StepPlan,
+                         (False, phase, moves, len(frames) > 1 and not moves))

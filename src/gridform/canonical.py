@@ -21,9 +21,9 @@ def _scans(occupied: frozenset) -> tuple:
     """``(specs, built, backs)`` for the bounding box of ``occupied``, from
     the cache of boxes ``_box_scans``: the box's scan specs, ``built``, a
     dict of scan index -> frame filled in the first time the scan wins, and
-    ``backs``, a dict of scan index -> a memo of that frame's inverse
-    ``apply``, filled the first time ``plan_moves`` maps moves back through
-    it. A miss builds only the specs, as an uncached call would."""
+    ``backs``, a dict of scan index -> that frame's map-back memo, linked
+    the first time ``plan_moves`` maps moves back through it. A miss builds
+    only the specs, as an uncached call would."""
     return _box_scans(*bounding_rect(occupied))
 
 
@@ -31,9 +31,9 @@ def _scans(occupied: frozenset) -> tuple:
 def _box_scans(x0: int, y0: int, x1: int, y1: int) -> tuple:
     """``(specs, built, backs)`` for the box [x0, x1] x [y0, y1] (see
     ``_scans``). A run moves one robot at a time, so its boxes repeat: 64
-    entries hold the boxes of a run's recent plans. A map-back memo holds
-    the cells its plans asked for, which lie in the box or one step out of
-    it.
+    entries hold the boxes of a run's recent plans. A map-back memo is
+    shared by every box its frame wins, so it holds cells within one step
+    of those boxes.
 
     ``specs`` holds all (corner, x_row, y_row, short_len) scans of the box.
     The scan's frame maps ``corner`` to the origin, its ``x_row`` (the

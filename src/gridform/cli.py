@@ -85,9 +85,18 @@ def write_trace(trace: Iterable[scheduler.Event], out: TextIO):
         out.write(json.dumps(rec) + "\n")
 
 
+def _cell(rec: dict, field: str) -> Point:
+    """``rec[field]`` as a cell: a JSON list of exactly two ints."""
+    cell = tuple(rec[field])
+    if len(cell) != 2 or not all(type(v) is int for v in cell):
+        raise ValueError(f"{field!r} is not two ints: {rec[field]!r}")
+    return cell
+
+
 def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
-    """The events of a JSONL trace. A line that is not a JSON object with
-    the fields ``write_trace`` writes raises ``ValueError``."""
+    """The events of a JSONL trace. A line that ``write_trace`` could not
+    have written, an index out of the sequence 0, 1, 2, ... included,
+    raises ``ValueError``."""
     events = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -95,13 +104,20 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
             continue
         try:
             rec = json.loads(line)
-            events.append(scheduler.Event(
+            ev = scheduler.Event(
                 index=rec["index"], robot=rec["robot"], kind=rec["kind"],
-                pos_before=tuple(rec["from"]),
-                pos_after=tuple(rec["to"]) if "to" in rec else None,
+                pos_before=_cell(rec, "from"),
+                pos_after=_cell(rec, "to") if "to" in rec else None,
                 phase=rec.get("phase"),
                 snapshot_index=rec.get("snapshot"),
-            ))
+            )
+            if type(ev.index) is not int or ev.index != len(events):
+                raise ValueError(f"index {ev.index!r}, not {len(events)}")
+            if type(ev.robot) is not int:
+                raise ValueError(f"robot {ev.robot!r} is not an int")
+            if ev.kind not in (scheduler.LOOK, scheduler.MOVE):
+                raise ValueError(f"unknown kind {ev.kind!r}")
+            events.append(ev)
         except (KeyError, TypeError, ValueError) as exc:
             what = f"no field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"malformed trace: line {lineno}: {what}") from None

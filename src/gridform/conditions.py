@@ -79,9 +79,9 @@ def evaluate_conditions(key: tuple, short_len: int,
     # C', C without the tail, spans fewer only if the tail alone may hold
     # row 0 or row S - 1, and C' then holds the other one
     if tail[1] == S - 1 and S > 1:  # C' holds row 0
-        V = max([v % S for v in key[:-1]]) + 1
+        V = max(map(S.__rmod__, key[:-1])) + 1
     elif tail[1] == 0 and S > 1:  # C' holds row S - 1
-        V = S - min([v % S for v in key[:-1]])
+        V = S - min(map(S.__rmod__, key[:-1]))
     else:
         V = S
     n, H = tail[0] - head[0] + 1, key[-2] // S - head[0] + 1
@@ -97,16 +97,17 @@ def evaluate_conditions(key: tuple, short_len: int,
         c0 = head_on and key[-1] in codes
         c1 = head_on and not t_inner and t_target != head
         c7 = not t_inner and not holds(key, S, t.h_target, 1, k - 1)
-    return ConditionVector(  # positional, in field order: c0..c7, sizes, ends
+    # positional, in field order (c0..c7, sizes, ends), past its Python __new__
+    return tuple.__new__(ConditionVector, (
         c0, c1,
         tail[1] == t.t_target[1],
-        n >= max(t.M, S) + 2,
-        n >= 2 * max(t.N, H),
+        n >= t.M + 2 and n >= S + 2,
+        n >= 2 * t.N and n >= 2 * H,
         key[0] == 0,
-        S >= max(t.M, V) + 1,
+        S > t.M and S > V,
         c7,
         S, n, H, V, head, tail,
-    )
+    ))
 
 
 def classify_phase(cv: ConditionVector) -> str:

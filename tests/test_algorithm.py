@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridform.algorithm import (
     RuleViolation,
     _PREFILL,
+    _back,
     _path_table,
     pf_on_path_moves,
     phase_moves,
@@ -532,8 +533,9 @@ def plan_or_violation(planner, c, t):
 
 class TestMapBackMemo:
     """``plan_moves`` maps the rule's moves back through a memo of the first
-    frame's inverse, kept with its bounding box's scans. Cold or warm, the
-    plan equals the arithmetic map-back of ``reference_plan_moves``."""
+    frame's inverse, cached per frame (``_back``) and linked from each box
+    the frame wins. Cold or warm, the plan equals the arithmetic map-back
+    of ``reference_plan_moves``."""
 
     FAR = (0, 7, -10**6, 10**12, -10**12)
 
@@ -574,6 +576,28 @@ class TestMapBackMemo:
             assert plan_moves(case, t) == want
             assert bool(want.moves) == (case != cases[0])
 
+    def test_a_new_box_takes_its_frames_memo(self):
+        """In P1 the tail steps out of the box while the winning frame
+        stays: the grown box, met for the first time, takes the first
+        box's memo from the frame cache."""
+        t = canonicalize_target({(0, 0), (0, 2), (2, 1), (3, 3)})
+        c = frozenset({(0, 1), (0, 3), (3, 0), (3, 3)})
+        grown = (c - {(3, 0)}) | {(4, 0)}
+        _box_scans.cache_clear()
+        _back.cache_clear()
+        first = plan_moves(c, t)
+        assert first == reference_plan_moves(c, t)
+        assert (first.phase, first.moves) == ("P1", {(3, 0): (4, 0)})
+        old, new = canonical_frames(c), canonical_frames(grown)
+        assert old[0] == new[0] and new.lead not in new.backs
+        hits = _back.cache_info().hits
+        assert plan_moves(grown, t) == reference_plan_moves(grown, t)
+        assert _back.cache_info().hits == hits + 1
+        assert new.backs[new.lead] is old.backs[old.lead]
+        # in frame coordinates the first box is 4 wide: (5, 3) lies two
+        # steps out of it and one step out of the grown box
+        assert sorted(new.backs[new.lead]) == [(3, 3), (4, 3), (5, 3)]
+
     def test_scheduler_per_frame_plans_of_collinear_configurations(self):
         """A collinear configuration is planned in each robot's own frame
         and mapped back by the scheduler."""
@@ -601,24 +625,28 @@ class TestMapBackMemo:
 
     def test_caches_stay_within_their_bounds(self):
         """After plans over more than 200 distinct frames, each cache holds
-        at most its bound of entries, and a map-back memo holds only cells
-        of its box or one step out of it, in frame coordinates."""
+        at most its bound of entries. A map-back memo outlives its box: it
+        holds only cells, in frame coordinates, within one step of the
+        largest box its frame won, whose corner is the frame's origin."""
         rng = random.Random(20261020)
-        frames_seen = set()
+        _back.cache_clear()
+        largest = {}  # frame -> the widest x and y extents of its boxes
         for c, t in pinned_cases(600, 20261020):
             g = rng.choice(LINEAR_CLASSES)._replace(
                 tx=rng.randint(-10**9, 10**9), ty=rng.randint(-10**9, 10**9))
             image = g.apply_set(c)
             plan_or_violation(plan_moves, image, t)
             frames = canonical_frames(image)
-            frames_seen.update(frames)
             x0, _, x1, _ = bounding_rect(frames[0].apply_set(image))
-            n = x1 - x0 + 1
-            short_len = frames.spec[3]
-            assert all(-1 <= x <= n and -1 <= y <= short_len
+            n, m = largest.get(frames[0], (0, 0))
+            n = max(n, x1 - x0 + 1)
+            m = max(m, frames.spec[3])
+            largest[frames[0]] = n, m
+            assert all(-1 <= x <= n and -1 <= y <= m
                        for x, y in frames.backs.get(frames.lead, ()))
-        assert len(frames_seen) > 200
-        for cache in (_box_scans, target_key, _path_table):
+        assert len(largest) > 200
+        for cache in (_box_scans, target_key, _path_table, _back):
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
         assert _box_scans.cache_info().currsize == 64
+        assert _back.cache_info().currsize == 8

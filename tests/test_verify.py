@@ -116,6 +116,45 @@ class TestReadTrace:
     def test_invalid_json(self):
         self.rejects('{"index": 1, "robot": 0,', "Expecting property name")
 
+    @pytest.mark.parametrize("field, value", [
+        ("from", '"ab"'), ("from", "[1]"), ("from", "[0, 0, 0]"),
+        ("from", "[true, 0]"), ("from", "[0, 1.0]"), ("to", '"ab"'),
+        ("to", "[1]"), ("to", "[0, false]"), ("to", '[0, "1"]'),
+    ])
+    def test_cell_that_is_not_two_ints(self, field, value):
+        cells = {"from": "[0, 0]", "to": "[0, 1]", field: value}
+        self.rejects('{"index": 1, "robot": 0, "kind": "MOVE", '
+                     f'"from": {cells["from"]}, "to": {cells["to"]}, '
+                     '"snapshot": 0}', f"'{field}' is not two ints")
+
+    @pytest.mark.parametrize("robot", ['"x"', "true", "0.0", "null"])
+    def test_robot_that_is_not_an_int(self, robot):
+        self.rejects(f'{{"index": 1, "robot": {robot}, '
+                     '"kind": "LOOK_COMPUTE", "from": [0, 0]}', "robot ")
+
+    def test_unknown_kind(self):
+        self.rejects('{"index": 1, "robot": 0, "kind": "TELEPORT", '
+                     '"from": [0, 0]}', "unknown kind 'TELEPORT'")
+
+    @pytest.mark.parametrize("index", ["0", "2", "true", "1.0", '"1"'])
+    def test_index_out_of_sequence(self, index):
+        self.rejects(f'{{"index": {index}, "robot": 0, '
+                     '"kind": "LOOK_COMPUTE", "from": [0, 0]}', ", not 1")
+
+    def test_trace_the_verifiers_used_to_pass(self):
+        """Read as events with the cells ('a', 'b') and (1,) and the robot
+        'x', these lines passed both verifiers."""
+        lines = ['{"index": 0, "robot": "x", "kind": "LOOK_COMPUTE", '
+                 '"from": "ab"}',
+                 '{"index": 1, "robot": "x", "kind": "MOVE", "from": "ab", '
+                 '"to": [1], "snapshot": 0}',
+                 '{"index": 2, "robot": "x", "kind": "LOOK_COMPUTE", '
+                 '"from": [1]}']
+        with pytest.raises(ValueError, match="^malformed trace: line 1: "
+                           "'from' is not two ints: 'ab'$"):
+            read_trace(lines)
+
+
 def reference_collision_free(trace):
     """The O(k)-per-event replay ``check_collision_free`` replaced: the
     other robots' cells are rebuilt on every move and a new robot is
