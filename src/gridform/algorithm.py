@@ -260,9 +260,7 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
         if len(frames) == 1:
             raise
         return tuple.__new__(StepPlan, (False, None, {}, True))
-    back = frames.backs.get(frames.lead)  # the box's link to _back(frames[0])
-    if back is None:
-        back = frames.backs[frames.lead] = _back(frames[0])
+    back = _back(frames[0])
     moves = {back[src]: back[dst] for src, dst in fm.items()}
     for g in frames[1:]:
         other = {from_frame_coords(src, g): from_frame_coords(dst, g)

@@ -17,23 +17,12 @@ from typing import Iterable, Optional
 from .geometry import Isometry, Point, bounding_rect
 
 
-def _scans(occupied: frozenset) -> tuple:
-    """``(specs, built, backs)`` for the bounding box of ``occupied``, from
-    the cache of boxes ``_box_scans``: the box's scan specs, ``built``, a
-    dict of scan index -> frame filled in the first time the scan wins, and
-    ``backs``, a dict of scan index -> that frame's map-back memo, linked
-    the first time ``plan_moves`` maps moves back through it. A miss builds
-    only the specs, as an uncached call would."""
-    return _box_scans(*bounding_rect(occupied))
-
-
 @lru_cache(maxsize=64)
 def _box_scans(x0: int, y0: int, x1: int, y1: int) -> tuple:
-    """``(specs, built, backs)`` for the box [x0, x1] x [y0, y1] (see
-    ``_scans``). A run moves one robot at a time, so its boxes repeat: 64
-    entries hold the boxes of a run's recent plans. A map-back memo is
-    shared by every box its frame wins, so it holds cells within one step
-    of those boxes.
+    """``(specs, built)`` for the box [x0, x1] x [y0, y1]: its scan specs
+    and a dict of scan index -> frame, filled in the first time the scan
+    wins. A run moves one robot at a time, so its boxes repeat: 64 entries
+    hold the boxes of a run's recent plans.
 
     ``specs`` holds all (corner, x_row, y_row, short_len) scans of the box.
     The scan's frame maps ``corner`` to the origin, its ``x_row`` (the
@@ -63,7 +52,7 @@ def _box_scans(x0: int, y0: int, x1: int, y1: int) -> tuple:
                  ((x0, y1), (0, -1), (1, 0), w), ((x0, y1), (1, 0), (0, -1), w),
                  ((x1, y1), (0, -1), (-1, 0), w),
                  ((x1, y1), (-1, 0), (0, -1), w))
-    return specs, {}, {}
+    return specs, {}
 
 
 def _scan_key(occupied: frozenset, spec) -> tuple:
@@ -128,12 +117,10 @@ def is_asymmetric(c: Iterable[Point]) -> bool:
 
 class Frames(list):
     """What ``canonical_frames`` returns: the list of frames, plus the
-    winning scan's sorted ``key``, its ``spec`` and index ``lead``, and its
-    box's ``backs`` (see ``_scans``), where ``plan_moves`` keeps the memo
-    that maps points of the first frame back. ``key`` is None when a lone
-    occupied corner won without one; ``to_frame_coords`` builds it."""
+    winning scan's sorted ``key`` and its ``spec``. ``key`` is None when a
+    lone occupied corner won without one; ``to_frame_coords`` builds it."""
 
-    __slots__ = ("key", "spec", "lead", "backs")
+    __slots__ = ("key", "spec")
 
 
 def canonical_frames(c: Iterable[Point]) -> Frames:
@@ -154,7 +141,7 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
     and similarity of the final pattern is unaffected.
     """
     occupied = frozenset(c)
-    specs, built, backs = _scans(occupied)
+    specs, built = _box_scans(*bounding_rect(occupied))
     n = len(specs)
     lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
     best = None
@@ -188,7 +175,6 @@ def canonical_frames(c: Iterable[Point]) -> Frames:
     frames = Frames([built.get(i) or built.setdefault(i, _scan_frame(specs[i]))
                      for i in lead])
     frames.key, frames.spec = best, specs[lead[0]]
-    frames.backs, frames.lead = backs, lead[0]
     return frames
 
 

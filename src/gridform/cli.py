@@ -117,6 +117,11 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
                 raise ValueError(f"robot {ev.robot!r} is not an int")
             if ev.kind not in (scheduler.LOOK, scheduler.MOVE):
                 raise ValueError(f"unknown kind {ev.kind!r}")
+            if ev.phase not in (None, *verify.PHASE_EDGES):
+                raise ValueError(f"unknown phase {ev.phase!r}")
+            s = ev.snapshot_index
+            if s is not None and not (type(s) is int and 0 <= s < ev.index):
+                raise ValueError(f"snapshot {s!r} is not an earlier index")
             events.append(ev)
         except (KeyError, TypeError, ValueError) as exc:
             what = f"no field {exc}" if isinstance(exc, KeyError) else exc

@@ -2,20 +2,21 @@
 
 Each robot's Look-Compute is one atomic event; its Move is a later event
 that applies the stored decision blindly, however stale the snapshot has
-become. The adversary interleaves events in rounds: within a round every
-robot Looks once and Moves once (Look first), in an order of the
-adversary's choosing. Rounds give bounded fairness: any window of 4k events
-contains a complete cycle of every robot.
+become. The adversary hands out events in batches, the next whenever the
+last is used up, until a batch leaves no robot enabled (see ``run``). The
+round adversaries give one round per batch: every robot Looks once and
+Moves once (Look first): any window of 4k events holds each robot's cycle.
 
 Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
 inline. A Look re-reads the plan only when the configuration changed since
-the last refresh or the round began; a collinear one refreshes every Look.
+the last refresh; a collinear one refreshes every Look.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .algorithm import RuleViolation, plan_moves
@@ -59,8 +60,14 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+@lru_cache(maxsize=64)
+def _events(k: int) -> tuple:
+    """The events ``(r, LOOK)`` and ``(r, MOVE)`` for r < k, once per k."""
+    return tuple(tuple((r, kind) for r in range(k)) for kind in (LOOK, MOVE))
+
+
 class Adversary:
-    """Base adversary: random per-robot local frames, per-round event order."""
+    """Base adversary: random per-robot local frames, batches of events."""
 
     def __init__(self, fairness_window: int, seed: int = 0):
         if fairness_window < 2:
@@ -71,7 +78,9 @@ class Adversary:
     def robot_frames(self, k: int) -> list[Isometry]:
         return [self._rng.choice(LINEAR_CLASSES) for _ in range(k)]
 
-    def round_order(self, k: int) -> list[tuple[int, str]]:
+    def next_batch(self, k: int, enabled) -> list[tuple[int, str]]:
+        """The next events ``(robot, LOOK|MOVE)``; ``enabled()`` lists the
+        enabled robots (see ``run``). A robot Moves only after a Look."""
         raise NotImplementedError
 
 
@@ -81,41 +90,34 @@ class RoundRobinAdversary(Adversary):
     def robot_frames(self, k):
         return [IDENTITY] * k
 
-    def round_order(self, k):
-        order = []
-        for r in range(k):
-            order.append((r, LOOK))
-            order.append((r, MOVE))
-        return order
+    def next_batch(self, k, enabled):
+        return [event for pair in zip(*_events(k)) for event in pair]
 
 
 class RandomAdversary(Adversary):
     """Uniform interleaving: Looks and Moves shuffled, Look-before-Move
     per robot preserved."""
 
-    def round_order(self, k):
+    def next_batch(self, k, enabled):
+        looks, moves = _events(k)
         tokens = list(range(k)) * 2
         _shuffle(self._rng, tokens)
-        seen = set()
+        ahead = list(looks)  # each robot's next event: its Look, then Move
         order = []
         for r in tokens:
-            if r in seen:
-                order.append((r, MOVE))
-            else:
-                seen.add(r)
-                order.append((r, LOOK))
+            order.append(ahead[r])
+            ahead[r] = moves[r]
         return order
 
 
 class MaxStaleAdversary(Adversary):
     """All Looks first, then all Moves: every decision is maximally stale."""
 
-    def round_order(self, k):
-        looks = list(range(k))
-        moves = list(range(k))
-        _shuffle(self._rng, looks)
+    def next_batch(self, k, enabled):
+        looks, moves = map(list, _events(k))
+        _shuffle(self._rng, looks)  # the draws of shuffling range(k)
         _shuffle(self._rng, moves)
-        return [(r, LOOK) for r in looks] + [(r, MOVE) for r in moves]
+        return looks + moves
 
 
 ADVERSARIES = {
@@ -154,7 +156,10 @@ def _plan(plans: dict, positions: frozenset, frame: Isometry,
 def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         max_events: int = 100_000) -> Outcome:
     """Simulate until the pattern is formed, a fault occurs, or the event
-    budget runs out."""
+    budget runs out. A robot is enabled if it holds a pending Move or
+    Looked before the last real Move (or never Looked). The run is over
+    after a batch that leaves none enabled, with the verdict of the plans
+    of the final configuration, which every robot Looked at last."""
     initial = frozenset(initial)
     k = len(initial)
     if k != len(target.points):
@@ -168,19 +173,20 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     frames = adversary.robot_frames(k)  # local = frame(global)
     pos = sorted(initial)
     pending = [None] * k  # global cell chosen at the last Look; None = stay
-    since = [None] * k    # index of that Look
+    since, moved = [-1] * k, -1  # index of that Look; of the last real Move
+
+    def enabled():  # in id order; none only if moved < min(since)
+        return [r for r, look in enumerate(since)
+                if look <= moved or pending[r] is not None]
+
     positions = initial
     plans: dict = {}
     event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
     append = trace.append
-
     index = 0
+    seen = None  # the configuration the Look state below was read from
     while True:
-        moved = False
-        all_formed = True
-        any_stuck = False
-        seen = None  # the configuration the Look state below was read from
-        for rid, kind in adversary.round_order(k):
+        for rid, kind in adversary.next_batch(k, enabled):
             if index >= max_events:
                 return Outcome("LIMIT_EXCEEDED", trace, index, positions)
             here = pos[rid]
@@ -196,8 +202,6 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                     if positions in plans:  # else collinear: per frame
                         seen = positions
                     decide, phase = plan.moves.get, plan.phase
-                    all_formed = all_formed and plan.formed
-                    any_stuck = any_stuck or plan.stuck_symmetric
                 pending[rid] = decide(here)
                 since[rid] = index
                 append(event(Event, (index, rid, LOOK, here, None, phase,
@@ -213,10 +217,13 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                                        fault="collision")
                     positions = (positions - {here}) | {dest}
                     pos[rid] = dest
-                    moved = True
+                    moved = index
             index += 1
-        if not moved:
-            if all_formed:
+        if moved < min(since) and not enabled():
+            final = [plans.get(positions) or plans[positions, f]
+                     for f in frames]
+            if all(plan.formed for plan in final):
                 return Outcome("FORMED", trace, index, positions)
-            fault = "stuck-symmetric" if any_stuck else "internal"
-            return Outcome("FAULT", trace, index, positions, fault=fault)
+            stuck = any(plan.stuck_symmetric for plan in final)
+            return Outcome("FAULT", trace, index, positions,
+                           fault="stuck-symmetric" if stuck else "internal")

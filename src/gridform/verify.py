@@ -84,29 +84,23 @@ def check_formed(final: Iterable[Point], t: TargetPattern) -> Verdict:
 
 
 def check_phase_transitions(trace: Iterable[Event]) -> Verdict:
-    """Phases observed at Look events must follow the transition diagram
-    (stuttering collapsed)."""
+    """Phases observed at Look events must be ``PHASE_EDGES`` keys and
+    follow the transition diagram (stuttering collapsed)."""
     v = Verdict()
     prev = None
     for ev in trace:  # Event's fields by position: see ``Event._fields``
         phase = ev[5]
-        if phase is None or ev[2] != LOOK:
+        if phase is None or ev[2] != LOOK or phase == prev:
             continue
-        if prev is not None and phase != prev:
-            if phase not in PHASE_EDGES.get(prev, ()):
-                v.flag(ev[0], "phase-transition", f"{prev} -> {phase}")
+        if phase not in PHASE_EDGES:
+            v.flag(ev[0], "phase-unknown", f"unknown phase {phase!r}")
+        elif prev in PHASE_EDGES and phase not in PHASE_EDGES[prev]:
+            v.flag(ev[0], "phase-transition", f"{prev} -> {phase}")
         prev = phase
     return v
 
 
 def back_edge_count(trace: Iterable[Event]) -> int:
     """How many times the phase sequence takes the 3 -> 1 back edge."""
-    count = 0
-    prev = None
-    for ev in trace:
-        if ev.kind != LOOK or ev.phase is None:
-            continue
-        if prev == "P3" and ev.phase == "P1":
-            count += 1
-        prev = ev.phase
-    return count
+    phases = [ev.phase for ev in trace if ev.kind == LOOK and ev.phase]
+    return list(zip(phases, phases[1:])).count(("P3", "P1"))

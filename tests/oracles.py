@@ -156,12 +156,12 @@ def reference_plan_moves(points: Iterable[Point], t) -> StepPlan:
     return StepPlan(False, phase, moves, len(frames) > 1 and not moves)
 
 
-# The adversaries' ``round_order`` bodies as they were before the scheduler
-# shuffled inline with ``scheduler._shuffle``: each draw goes through
-# ``random.Random.shuffle``.
+# The adversaries' round bodies as they were before the scheduler
+# shuffled inline with ``scheduler._shuffle`` and made its events once per
+# k: each draw goes through ``random.Random.shuffle``.
 
 class ReferenceRoundRobin(RoundRobinAdversary):
-    def round_order(self, k):
+    def next_batch(self, k, enabled):
         order = []
         for r in range(k):
             order.append((r, LOOK))
@@ -170,7 +170,7 @@ class ReferenceRoundRobin(RoundRobinAdversary):
 
 
 class ReferenceRandom(RandomAdversary):
-    def round_order(self, k):
+    def next_batch(self, k, enabled):
         tokens = list(range(k)) * 2
         self._rng.shuffle(tokens)
         seen = set()
@@ -185,7 +185,7 @@ class ReferenceRandom(RandomAdversary):
 
 
 class ReferenceMaxStale(MaxStaleAdversary):
-    def round_order(self, k):
+    def next_batch(self, k, enabled):
         looks = list(range(k))
         moves = list(range(k))
         self._rng.shuffle(looks)

@@ -533,7 +533,7 @@ def plan_or_violation(planner, c, t):
 
 class TestMapBackMemo:
     """``plan_moves`` maps the rule's moves back through a memo of the first
-    frame's inverse, cached per frame (``_back``) and linked from each box
+    frame's inverse, cached per frame (``_back``) and shared by every box
     the frame wins. Cold or warm, the plan equals the arithmetic map-back
     of ``reference_plan_moves``."""
 
@@ -570,7 +570,7 @@ class TestMapBackMemo:
             Isometry(1, 0, 0, 1), Isometry(-1, 0, 0, 1, 4, 0),
             Isometry(1, 0, 0, -1, 0, 2), Isometry(-1, 0, 0, -1, 4, 2))]
         assert len(canonical_frames(cases[0])) == 4
-        assert len({canonical_frames(case).lead for case in cases[1:]}) == 4
+        assert len({canonical_frames(case).spec for case in cases[1:]}) == 4
         for case in cases * 2:
             want = reference_plan_moves(case, t)
             assert plan_moves(case, t) == want
@@ -578,8 +578,8 @@ class TestMapBackMemo:
 
     def test_a_new_box_takes_its_frames_memo(self):
         """In P1 the tail steps out of the box while the winning frame
-        stays: the grown box, met for the first time, takes the first
-        box's memo from the frame cache."""
+        stays: the grown box, met for the first time, maps back through
+        the first box's memo, taken from the frame cache."""
         t = canonicalize_target({(0, 0), (0, 2), (2, 1), (3, 3)})
         c = frozenset({(0, 1), (0, 3), (3, 0), (3, 3)})
         grown = (c - {(3, 0)}) | {(4, 0)}
@@ -589,14 +589,16 @@ class TestMapBackMemo:
         assert first == reference_plan_moves(c, t)
         assert (first.phase, first.moves) == ("P1", {(3, 0): (4, 0)})
         old, new = canonical_frames(c), canonical_frames(grown)
-        assert old[0] == new[0] and new.lead not in new.backs
+        assert old[0] == new[0] and bounding_rect(c) != bounding_rect(grown)
+        memo = _back(old[0])
+        assert sorted(memo) == [(3, 3), (4, 3)]
         hits = _back.cache_info().hits
         assert plan_moves(grown, t) == reference_plan_moves(grown, t)
         assert _back.cache_info().hits == hits + 1
-        assert new.backs[new.lead] is old.backs[old.lead]
+        assert _back(new[0]) is memo and _back.cache_info().currsize == 1
         # in frame coordinates the first box is 4 wide: (5, 3) lies two
         # steps out of it and one step out of the grown box
-        assert sorted(new.backs[new.lead]) == [(3, 3), (4, 3), (5, 3)]
+        assert sorted(memo) == [(3, 3), (4, 3), (5, 3)]
 
     def test_scheduler_per_frame_plans_of_collinear_configurations(self):
         """A collinear configuration is planned in each robot's own frame
@@ -643,7 +645,7 @@ class TestMapBackMemo:
             m = max(m, frames.spec[3])
             largest[frames[0]] = n, m
             assert all(-1 <= x <= n and -1 <= y <= m
-                       for x, y in frames.backs.get(frames.lead, ()))
+                       for x, y in _back(frames[0]))
         assert len(largest) > 200
         for cache in (_box_scans, target_key, _path_table, _back):
             info = cache.cache_info()

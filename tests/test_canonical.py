@@ -13,7 +13,6 @@ from gridform.canonical import (
     _box_scans,
     _scan_frame,
     _scan_key,
-    _scans,
     canonical_frames,
     collinear,
     corner_strings,
@@ -27,6 +26,12 @@ from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
 
 from conftest import REF11, REF11_HEAD, REF11_STRING, REF11_TAIL
 from oracles import brute_force_symmetries, frame_string
+
+
+def scan_specs(c):
+    """The scan specs of the bounding box of ``c``, from the box cache."""
+    return _box_scans(*bounding_rect(c))[0]
+
 
 points_strategy = st.frozensets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8
@@ -110,7 +115,7 @@ def reference_frames(c):
     """The selection without the corner filter: every scan keyed, the
     minimal keys win, sorted by origin and then by x row."""
     c = frozenset(c)
-    scans = [(spec, _scan_key(c, spec)) for spec in _scans(c)[0]]
+    scans = [(spec, _scan_key(c, spec)) for spec in scan_specs(c)]
     best = min(key for _, key in scans)
     frames = []
     for (ox, oy), (xa, xb), (ya, yb), _ in sorted(
@@ -350,7 +355,7 @@ class TestScanMates:
     def test_mate_key_is_the_reversed_complement(self, c):
         x0, y0, x1, y1 = bounding_rect(c)
         top = (x1 - x0 + 1) * (y1 - y0 + 1) - 1
-        specs = _scans(c)[0]
+        specs = scan_specs(c)
         for i, spec in enumerate(specs):
             mate = specs[-1 - i]
             key = _scan_key(c, spec)
@@ -366,7 +371,7 @@ class TestScanMates:
         frozenset({(1, 0), (4, 1), (0, 3), (3, 4)}),
     ])
     def test_each_square_scan_has_exactly_one_mate(self, c, monkeypatch):
-        specs = _scans(c)[0]
+        specs = scan_specs(c)
         assert len(set(specs)) == 8
         x0, y0, x1, y1 = bounding_rect(c)
         for i, ((cx, cy), (lx, ly), _, _) in enumerate(specs):
@@ -395,7 +400,7 @@ def reference_lead(c):
     occupied, one key is sorted and the mate's reversed complement is
     always built in full."""
     occupied = frozenset(c)
-    specs = _scans(occupied)[0]
+    specs = scan_specs(occupied)
     n = len(specs)
     lead = [i for i in range(n) if specs[i][0] in occupied] or range(n)
     if len(lead) > 1:
@@ -439,7 +444,7 @@ class TestLazyMate:
         mate, so a pair is won once by the keyed scan and once by its
         mate."""
         c = frozenset(c)
-        specs = _scans(c)[0]
+        specs = scan_specs(c)
         n = len(specs)
         lead = [i for i in range(n) if specs[i][0] in c]
         assert len([i for i in lead
@@ -615,8 +620,8 @@ class TestBoxCache:
 
     def test_cached_specs_are_shared_tuples(self):
         c = frozenset({(0, 0), (4, 2), (2, 1)})
-        specs = _scans(c)[0]
-        assert _scans(set(c))[0] is specs  # a hit shares the entry
+        specs = scan_specs(c)
+        assert scan_specs(set(c)) is specs  # a hit shares the entry
         assert isinstance(specs, tuple)
         assert all(isinstance(spec, tuple) for spec in specs)
         with pytest.raises(TypeError):
@@ -626,7 +631,7 @@ class TestBoxCache:
 
 def assert_strings_are_the_dense_reference(c):
     strings = corner_strings(c)
-    assert [spec for spec, _ in strings] == list(_scans(c)[0])
+    assert [spec for spec, _ in strings] == list(scan_specs(c))
     for spec, bits in strings:
         assert bits == frame_string(c, _scan_frame(spec)), (sorted(c), spec)
 

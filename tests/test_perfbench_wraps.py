@@ -53,7 +53,8 @@ def test_traced_runs_record_every_per_layer_span():
                     sampling.random_points(k, 8, rng))
                 kind = ("random", "round_robin", "max_stale")[i % 3]
                 out = scheduler.run(config, pattern,
-                                    scheduler.make_adversary(kind, 4 * k, i))
+                                    scheduler.make_adversary(kind, 4 * k, i),
+                                    max_events=100_000)
                 assert out.kind == "FORMED"
                 assert verify.check_collision_free(out.trace).passed
                 assert verify.check_phase_transitions(out.trace).passed

@@ -11,6 +11,7 @@ from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import (
     LOOK,
     MOVE,
+    Adversary,
     MaxStaleAdversary,
     RandomAdversary,
     RoundRobinAdversary,
@@ -19,6 +20,7 @@ from gridform.scheduler import (
     run,
 )
 from gridform.target import TargetPattern, canonicalize_target
+from gridform.verify import check_collision_free
 
 from conftest import REF11, LINE11
 from oracles import REFERENCE_ADVERSARIES
@@ -45,19 +47,19 @@ class TestAdversaries:
 
     def test_round_robin_order(self):
         adv = RoundRobinAdversary(8)
-        assert adv.round_order(3) == [
+        assert adv.next_batch(3, None) == [
             (0, LOOK), (0, MOVE), (1, LOOK), (1, MOVE), (2, LOOK), (2, MOVE),
         ]
         assert adv.robot_frames(3) == [IDENTITY] * 3
 
     def test_max_stale_order(self):
-        order = MaxStaleAdversary(8, seed=5).round_order(4)
+        order = MaxStaleAdversary(8, seed=5).next_batch(4, None)
         kinds = [kind for _, kind in order]
         assert kinds == [LOOK] * 4 + [MOVE] * 4
 
     def test_random_order_is_a_valid_round(self):
         for seed in range(20):
-            order = RandomAdversary(8, seed=seed).round_order(4)
+            order = RandomAdversary(8, seed=seed).next_batch(4, None)
             assert len(order) == 8
             seen = set()
             for rid, kind in order:
@@ -99,8 +101,8 @@ class TestDraws:
                 ref = REFERENCE_ADVERSARIES[kind](2 * k, seed)
                 assert adv.robot_frames(k) == ref.robot_frames(k)
                 for r in range(30):  # the generator's state carries over
-                    assert adv.round_order(k) == ref.round_order(k), \
-                        (k, seed, r)
+                    assert (adv.next_batch(k, None)
+                            == ref.next_batch(k, None)), (k, seed, r)
 
 
 class TestRun:
@@ -158,11 +160,13 @@ class TestRun:
         assert a.trace == b.trace
         assert a.final == b.final
 
-    def test_trace_rounds_are_fair(self):
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_trace_rounds_are_fair(self, kind):
         """Every robot Looks once and Moves once within each round of 2k
         events, so any 4k-window contains a full cycle of every robot."""
-        out = run(REF11, LINE_TARGET, make_adversary("random", 44, seed=3))
+        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=3))
         k = len(REF11)
+        assert out.kind == "FORMED" and out.events_used % (2 * k) == 0
         for start in range(0, len(out.trace) - 2 * k + 1, 2 * k):
             window = out.trace[start:start + 2 * k]
             looks = [ev.robot for ev in window if ev.kind == LOOK]
@@ -250,9 +254,9 @@ class TestTermination:
         assert out.events_used == 2 * self.K
 
     def test_each_round_rereads_the_plan(self, monkeypatch):
-        """Round 1 ends on the configuration its last Looks refreshed; round
-        2 must read that plan's flags again, or an idle, unformed swarm
-        would end as FORMED."""
+        """Round 1 ends on the configuration its last Looks refreshed; the
+        verdict after round 2 must read that plan's flags, or an idle,
+        unformed swarm would end as FORMED."""
         first = StepPlan(False, "P1", {(0, 1): (0, 2)})
         monkeypatch.setattr(scheduler, "plan_moves",
                             fixed_plan(first, StepPlan(False, "P1", {})))
@@ -260,6 +264,78 @@ class TestTermination:
         assert (out.kind, out.fault) == ("FAULT", "internal")
         assert out.events_used == 4 * self.K
         assert out.final == REF11 - {(0, 1)} | {(0, 2)}
+
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_a_move_that_ends_a_round_is_seen_after_it(self, monkeypatch,
+                                                       kind):
+        """The first round's only real Move is its last event under
+        round_robin: no Move is pending when the round ends, but the other
+        robots Looked before that Move, so they are still enabled and the
+        run goes one more round. A rule that read only the pending Moves
+        would stop after 2k events."""
+        last = sorted(REF11)[-1]
+        step = {last: (last[0] + 1, last[1])}
+        monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(
+            StepPlan(False, "P1", step), StepPlan(False, "P1", {})))
+        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
+        assert (out.kind, out.fault) == ("FAULT", "internal")
+        assert out.events_used == 4 * self.K
+        assert out.final == REF11 - {last} | set(step.values())
+        moves = [ev.index for ev in out.trace
+                 if ev.kind == MOVE and ev.pos_after != ev.pos_before]
+        assert len(moves) == 1
+        assert kind != "round_robin" or moves == [2 * self.K - 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_event_batches_end_when_no_robot_is_enabled(self, seed):
+        out = run(REF11, LINE_TARGET, OneEventAdversary(44, seed))
+        assert out.kind == "FORMED"
+        enabled = enabled_after_each_event(out.trace, self.K)
+        assert all(enabled[:-1]) and not enabled[-1]
+        assert check_collision_free(out.trace).passed
+
+
+class OneEventAdversary(Adversary):
+    """One event per batch: a seeded pick among the enabled robots, which
+    Moves if its last event was a Look and Looks otherwise."""
+
+    def __init__(self, fairness_window, seed):
+        super().__init__(fairness_window, seed)
+        self.looked = set()
+
+    def next_batch(self, k, enabled):
+        robots = enabled()
+        assert robots, "asked for a batch with no robot enabled"
+        r = self._rng.choice(robots)
+        kind = MOVE if r in self.looked else LOOK
+        self.looked ^= {r}
+        return [(r, kind)]
+
+
+def enabled_after_each_event(trace, k):
+    """The robots enabled after each event, replayed from the trace alone:
+    a Look leaves a Move pending until its robot's next event if that
+    event moves it; a robot whose last Look came before the last real Move,
+    or that never Looked, is enabled too."""
+    following, last = {}, {}
+    for ev in trace:
+        if ev.robot in last:
+            following[last[ev.robot]] = ev
+        last[ev.robot] = ev.index
+    pending, looked, moved, after = set(), [-1] * k, -1, []
+    for ev in trace:
+        if ev.kind == LOOK:
+            looked[ev.robot] = ev.index
+            nxt = following.get(ev.index)
+            if nxt and nxt.kind == MOVE and nxt.pos_after != nxt.pos_before:
+                pending.add(ev.robot)
+        else:
+            pending.discard(ev.robot)
+            if ev.pos_after != ev.pos_before:
+                moved = ev.index
+        after.append({r for r in range(k) if r in pending or looked[r] < moved
+                      or looked[r] < 0})
+    return after
 
 
 def plans_expected(initial, out, frames):

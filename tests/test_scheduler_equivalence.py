@@ -38,7 +38,7 @@ def reference_run(initial, target, adversary, max_events=100_000):
     index = 0
     while True:
         moved, all_formed, any_stuck = False, True, False
-        for rid, kind in adversary.round_order(k):
+        for rid, kind in adversary.next_batch(k, None):
             positions = frozenset(pos)
             if index >= max_events:
                 return Outcome("LIMIT_EXCEEDED", trace, index, positions)

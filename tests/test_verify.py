@@ -141,6 +141,18 @@ class TestReadTrace:
         self.rejects(f'{{"index": {index}, "robot": 0, '
                      '"kind": "LOOK_COMPUTE", "from": [0, 0]}', ", not 1")
 
+    @pytest.mark.parametrize("phase", ['"P9"', "5", "[1]", '"done"'])
+    def test_unknown_phase(self, phase):
+        self.rejects(f'{{"index": 1, "robot": 0, "kind": "LOOK_COMPUTE", '
+                     f'"from": [0, 0], "phase": {phase}}}', "unknown phase ")
+
+    @pytest.mark.parametrize("snapshot", ['"x"', "1", "2", "-1", "true",
+                                          "0.0", "[0]"])
+    def test_snapshot_that_is_not_an_earlier_index(self, snapshot):
+        self.rejects('{"index": 1, "robot": 0, "kind": "MOVE", "from": '
+                     f'[0, 0], "to": [0, 1], "snapshot": {snapshot}}}',
+                     "is not an earlier index")
+
     def test_trace_the_verifiers_used_to_pass(self):
         """Read as events with the cells ('a', 'b') and (1,) and the robot
         'x', these lines passed both verifiers."""
@@ -331,6 +343,17 @@ class TestPhaseTransitions:
     def test_done_is_terminal(self):
         trace = [look(i, 0, (0, 0), p) for i, p in enumerate(["DONE", "P1"])]
         assert not check_phase_transitions(trace).passed
+
+    def test_unknown_phase_is_flagged_from_the_first_look(self):
+        """A trace whose Looks all read one phase outside the diagram has
+        no transition to check, and is flagged all the same."""
+        trace = [look(i, 0, (0, 0), "P9") for i in range(3)]
+        v = check_phase_transitions(trace)
+        assert v.violations == [(0, "phase-unknown", "unknown phase 'P9'")]
+        trace += [look(3, 0, (0, 0), "P1"), look(4, 0, (0, 0), "P0")]
+        assert check_phase_transitions(trace).violations == [
+            (0, "phase-unknown", "unknown phase 'P9'"),
+            (4, "phase-unknown", "unknown phase 'P0'")]
 
     def test_edge_table_shape(self):
         assert set(PHASE_EDGES) == {f"P{i}" for i in range(1, 8)} | {"DONE"}
