@@ -8,8 +8,9 @@ round adversaries give one round per batch: every robot Looks once and
 Moves once (Look first): any window of 4k events holds each robot's cycle.
 
 Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
-inline. A Look re-reads the plan only when the configuration changed since
-the last refresh; a collinear one refreshes every Look.
+inline. A run keeps only the plan of the configuration the robots see now:
+the first Look after a real Move plans afresh; a collinear configuration
+refreshes every Look, from its per-frame plans.
 """
 
 from __future__ import annotations
@@ -135,22 +136,20 @@ def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
     return cls(fairness_window, seed)
 
 
-def _plan(plans: dict, positions: frozenset, frame: Isometry,
+def _plan(line: dict, positions: frozenset, frame: Isometry,
           target: TargetPattern):
-    """Plan ``positions`` once, in global coordinates, into ``plans``. A
-    collinear one has no covariant Y-axis (its canonical frame's y row is a
-    local fallback), so it is planned in the robot's own frame under the key
-    (positions, frame)."""
+    """The plan of ``positions``, in global coordinates. A collinear one,
+    whose Y-axis is a local fallback, is planned in the robot's own frame,
+    once per frame, into ``line``, which holds only its plans."""
     if not collinear(positions):
-        plans[positions] = plan = plan_moves(positions, target)
-        return plan
-    key = (positions, frame)
-    if key not in plans:
+        return plan_moves(positions, target)
+    plan = line.get(frame)
+    if plan is None:
         local = plan_moves(frame.apply_set(positions), target)
         inv = frame.inverse()
-        plans[key] = local._replace(moves={
+        line[frame] = plan = local._replace(moves={
             inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
-    return plans[key]
+    return plan
 
 
 def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
@@ -158,8 +157,9 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     """Simulate until the pattern is formed, a fault occurs, or the event
     budget runs out. A robot is enabled if it holds a pending Move or
     Looked before the last real Move (or never Looked). The run is over
-    after a batch that leaves none enabled, with the verdict of the plans
-    of the final configuration, which every robot Looked at last."""
+    after a batch that leaves none enabled, with the verdict of the final
+    configuration's plans. An empty batch is a ``ValueError``, as is a Move
+    by a robot that never Looked."""
     initial = frozenset(initial)
     k = len(initial)
     if k != len(target.points):
@@ -172,35 +172,39 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
 
     frames = adversary.robot_frames(k)  # local = frame(global)
     pos = sorted(initial)
-    pending = [None] * k  # global cell chosen at the last Look; None = stay
+    occupied = set(initial)  # updated in place by each real Move
+    unlooked = object()  # pending until the robot's first Look
+    pending = [unlooked] * k  # global cell chosen at the last Look; None = stay
     since, moved = [-1] * k, -1  # index of that Look; of the last real Move
 
     def enabled():  # in id order; none only if moved < min(since)
         return [r for r, look in enumerate(since)
                 if look <= moved or pending[r] is not None]
 
-    positions = initial
-    plans: dict = {}
+    positions = initial  # occupied, frozen when the plan was last refreshed
+    stale = True  # no plan yet, or a real Move since: the next Look plans
+    line: dict = {}  # a collinear configuration's plans, per robot frame
     event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
     append = trace.append
     index = 0
-    seen = None  # the configuration the Look state below was read from
     while True:
-        for rid, kind in adversary.next_batch(k, enabled):
+        batch = adversary.next_batch(k, enabled)
+        if not batch:
+            raise ValueError("empty batch while robots are enabled")
+        for rid, kind in batch:
             if index >= max_events:
-                return Outcome("LIMIT_EXCEEDED", trace, index, positions)
+                return Outcome("LIMIT_EXCEEDED", trace, index,
+                               frozenset(occupied))
             here = pos[rid]
             if kind == LOOK:
-                if positions is not seen:
-                    plan = plans.get(positions)
-                    if plan is None:
-                        try:
-                            plan = _plan(plans, positions, frames[rid], target)
-                        except RuleViolation as exc:
-                            return Outcome("FAULT", trace, index, positions,
-                                           fault="internal", detail=str(exc))
-                    if positions in plans:  # else collinear: per frame
-                        seen = positions
+                if stale or line:  # a collinear one refreshes every Look
+                    if stale:
+                        positions, stale, line = frozenset(occupied), False, {}
+                    try:
+                        plan = _plan(line, positions, frames[rid], target)
+                    except RuleViolation as exc:
+                        return Outcome("FAULT", trace, index, positions,
+                                       fault="internal", detail=str(exc))
                     decide, phase = plan.moves.get, plan.phase
                 pending[rid] = decide(here)
                 since[rid] = index
@@ -212,16 +216,18 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                                      here if dest is None else dest,
                                      None, since[rid])))
                 if dest is not None:
-                    if dest != here and dest in positions:
-                        return Outcome("FAULT", trace, index + 1, positions,
-                                       fault="collision")
-                    positions = (positions - {here}) | {dest}
+                    if dest is unlooked:
+                        raise ValueError(f"robot {rid} Moves before any Look")
+                    if dest != here and dest in occupied:
+                        return Outcome("FAULT", trace, index + 1,
+                                       frozenset(occupied), fault="collision")
+                    occupied.remove(here)
+                    occupied.add(dest)
                     pos[rid] = dest
-                    moved = index
+                    moved, stale = index, True
             index += 1
         if moved < min(since) and not enabled():
-            final = [plans.get(positions) or plans[positions, f]
-                     for f in frames]
+            final = [line[f] for f in frames] if line else [plan]
             if all(plan.formed for plan in final):
                 return Outcome("FORMED", trace, index, positions)
             stuck = any(plan.stuck_symmetric for plan in final)

@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -394,6 +395,147 @@ class TestPlanRefresh:
             assert sum(calls[i] for i in images) == len(set(frames)), seed
             split += len(images) >= 2
         assert split >= 4
+
+
+class ScriptedAdversary(Adversary):
+    """Hands out the given batches in order, then raises, so that a run
+    that keeps asking for batches fails instead of hanging."""
+
+    def __init__(self, *batches):
+        super().__init__(44)
+        self.batches = list(batches)
+
+    def next_batch(self, k, enabled):
+        if not self.batches:
+            raise RuntimeError("the run asked for more batches")
+        return self.batches.pop(0)
+
+
+class TestBadBatches:
+    def test_an_empty_batch_is_rejected(self):
+        adv = ScriptedAdversary([(0, LOOK)], [], [], [])
+        with pytest.raises(ValueError, match="empty batch"):
+            run(REF11, LINE_TARGET, adv)
+
+    @pytest.mark.parametrize("batch", [[(0, MOVE)], [(0, LOOK), (3, MOVE)]])
+    def test_a_move_before_any_look_is_rejected(self, batch):
+        rid = batch[-1][0]
+        with pytest.raises(ValueError,
+                           match=f"robot {rid} Moves before any Look"):
+            run(REF11, LINE_TARGET, ScriptedAdversary(batch))
+
+
+class Moves(dict):
+    """A plan's moves, which a weak reference can watch."""
+
+
+class TestPlanLifetime:
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_only_the_last_plan_outlives_the_next_refresh(self, monkeypatch,
+                                                          kind):
+        """When configuration n is planned, every plan of configuration
+        n - 2 or earlier is gone; that of n - 1 may still be read."""
+        refs, alive = [], 0
+
+        def watched(points, target):
+            nonlocal alive
+            assert all(ref() is None for ref in refs[:-1]), len(refs)
+            alive += bool(refs and refs[-1]() is not None)
+            plan = plan_moves(points, target)
+            moves = Moves(plan.moves)
+            refs.append(weakref.ref(moves))
+            return plan._replace(moves=moves)
+
+        monkeypatch.setattr(scheduler, "plan_moves", watched)
+        rng = random.Random(23)
+        for i in range(6):
+            k = rng.randint(3, 9)
+            config = random_asymmetric_config(k, 7, rng)
+            target = canonicalize_target(random_points(k, 7, rng))
+            out = run(config, target, make_adversary(kind, 4 * k, i))
+            assert out.kind == "FORMED"
+        assert alive > 50
+
+    @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
+    def test_a_revisited_configuration_is_planned_again(self, monkeypatch,
+                                                        kind):
+        """One robot goes A -> B -> A -> ... for ever: each visit plans its
+        configuration again, and every visit decides the same Moves."""
+        a, b = (0, 1), (0, 2)
+        calls = Counter()
+
+        def back_and_forth(points, target):
+            calls[points] += 1
+            return StepPlan(False, "P1", {a: b} if a in points else {b: a})
+
+        monkeypatch.setattr(scheduler, "plan_moves", back_and_forth)
+        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=2),
+                  max_events=40 * len(REF11))
+        assert out.kind == "LIMIT_EXCEEDED"
+        assert check_collision_free(out.trace).passed
+        there = REF11 - {a} | {b}
+        assert set(calls) == {REF11, there}
+        assert min(calls.values()) >= 5
+        cells, looked, decided = sorted(REF11), {}, Counter()
+        for ev in out.trace:  # a robot's next event after its Look: its Move
+            if ev.kind == LOOK:
+                looked[ev.robot] = frozenset(cells)
+            else:
+                decided[looked.pop(ev.robot), ev.pos_before, ev.pos_after] += 1
+                cells[ev.robot] = ev.pos_after
+        moved = {d: n for d, n in decided.items() if d[1] != d[2]}
+        assert set(moved) == {(REF11, a, b), (there, b, a)}
+        assert min(moved.values()) >= 2
+
+
+def replayed_cells(initial, out):
+    """The cells that ``out.trace`` leaves, robot ids numbering the sorted
+    start: a collision's last Move was refused, so it is not applied."""
+    cells = sorted(initial)
+    trace = out.trace[:-1] if out.fault == "collision" else out.trace
+    for ev in trace:
+        if ev.kind == MOVE:
+            cells[ev.robot] = ev.pos_after
+    return frozenset(cells)
+
+
+FIRST = StepPlan(False, "P1", {(0, 1): (0, 2)})
+
+
+def violation(points, target):
+    if points == REF11:
+        return FIRST
+    raise RuleViolation("no rule for this configuration")
+
+
+EXITS = [  # (kind, fault, plan_moves stand-in or None, max_events)
+    pytest.param("FORMED", None, None, 100_000, id="formed"),
+    pytest.param("LIMIT_EXCEEDED", None, fixed_plan(
+        FIRST, StepPlan(False, "P1", {(0, 2): (0, 1)})), 50, id="limit"),
+    pytest.param("FAULT", "collision", fixed_plan(
+        FIRST, StepPlan(False, "P1", {(0, 2): (0, 3)})), 100_000,
+        id="collision"),
+    pytest.param("FAULT", "stuck-symmetric", fixed_plan(
+        FIRST, StepPlan(False, "P3", {}, stuck_symmetric=True)), 100_000,
+        id="stuck"),
+    pytest.param("FAULT", "internal", fixed_plan(
+        FIRST, StepPlan(False, "P1", {})), 100_000, id="internal-idle"),
+    pytest.param("FAULT", "internal", violation, 100_000,
+                 id="internal-rule-violation"),
+]
+
+
+@pytest.mark.parametrize("adversary", sorted(scheduler.ADVERSARIES))
+@pytest.mark.parametrize("kind, fault, stand_in, max_events", EXITS)
+def test_final_is_the_replayed_configuration_on_every_exit(
+        monkeypatch, adversary, kind, fault, stand_in, max_events):
+    if stand_in is not None:
+        monkeypatch.setattr(scheduler, "plan_moves", stand_in)
+    out = run(REF11, LINE_TARGET, make_adversary(adversary, 44, seed=5),
+              max_events=max_events)
+    assert (out.kind, out.fault) == (kind, fault)
+    assert type(out.final) is frozenset
+    assert out.final == replayed_cells(REF11, out)
 
 
 def test_empty_configuration_is_rejected():

@@ -1,11 +1,13 @@
 """``scheduler.run`` against a reference loop that decides every Look in the
 robot's own frame through ``plan_moves``, with no plan cache.
 
-``run`` plans once per global configuration and reads each robot's
-destination off that plan; it keeps per-frame plans only for collinear
-configurations, whose Y-axis fallback is not covariant. The reference does
-what the model says each robot does, so equal traces show that planning
-once per configuration changes nothing a robot would have decided.
+``run`` plans each configuration once, in global coordinates, when the
+first Look after a real Move sees it, keeps only that plan, and reads each
+robot's destination off it; a collinear configuration, whose Y-axis
+fallback is not covariant, is planned per robot frame instead. The
+reference does what the model says each robot does, so equal traces show
+that planning once per configuration changes nothing a robot would have
+decided.
 """
 
 import random
