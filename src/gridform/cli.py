@@ -96,8 +96,9 @@ def _cell(rec: dict, field: str) -> Point:
 def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
     """The events of a JSONL trace. A line that ``write_trace`` could not
     have written, an index out of the sequence 0, 1, 2, ... included,
-    raises ``ValueError``."""
-    events = []
+    raises ``ValueError``, as does a MOVE whose snapshot is not its robot's
+    latest LOOK or is one that an earlier MOVE acted on."""
+    events, unused = [], {}  # robot -> its latest LOOK, until a MOVE
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -122,6 +123,11 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
             s = ev.snapshot_index
             if s is not None and not (type(s) is int and 0 <= s < ev.index):
                 raise ValueError(f"snapshot {s!r} is not an earlier index")
+            if ev.kind == scheduler.LOOK:
+                unused[ev.robot] = ev.index
+            elif unused.pop(ev.robot, -1) != s:  # -1: no such LOOK
+                raise ValueError(f"snapshot {s!r} is not robot {ev.robot}'s "
+                                 "latest LOOK with no MOVE yet")
             events.append(ev)
         except (KeyError, TypeError, ValueError) as exc:
             what = f"no field {exc}" if isinstance(exc, KeyError) else exc

@@ -16,7 +16,6 @@ refreshes every Look, from its per-frame plans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -39,8 +38,7 @@ class Event(NamedTuple):
     snapshot_index: Optional[int] = None  # MOVE only: when the decision was made
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # FORMED | LIMIT_EXCEEDED | FAULT
     trace: list
     events_used: int
@@ -159,7 +157,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     Looked before the last real Move (or never Looked). The run is over
     after a batch that leaves none enabled, with the verdict of the final
     configuration's plans. An empty batch is a ``ValueError``, as is a Move
-    by a robot that never Looked."""
+    by a robot that never Looked or whose last Look has had its Move."""
     initial = frozenset(initial)
     k = len(initial)
     if k != len(target.points):
@@ -174,12 +172,13 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     pos = sorted(initial)
     occupied = set(initial)  # updated in place by each real Move
     unlooked = object()  # pending until the robot's first Look
+    spent = object()  # pending from each Move until the next Look
     pending = [unlooked] * k  # global cell chosen at the last Look; None = stay
     since, moved = [-1] * k, -1  # index of that Look; of the last real Move
 
     def enabled():  # in id order; none only if moved < min(since)
         return [r for r, look in enumerate(since)
-                if look <= moved or pending[r] is not None]
+                if look <= moved or pending[r] not in (None, spent)]
 
     positions = initial  # occupied, frozen when the plan was last refreshed
     stale = True  # no plan yet, or a real Move since: the next Look plans
@@ -211,13 +210,15 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                 append(event(Event, (index, rid, LOOK, here, None, phase,
                                      None)))
             else:
-                dest, pending[rid] = pending[rid], None
+                dest, pending[rid] = pending[rid], spent
                 append(event(Event, (index, rid, MOVE, here,
                                      here if dest is None else dest,
                                      None, since[rid])))
                 if dest is not None:
                     if dest is unlooked:
                         raise ValueError(f"robot {rid} Moves before any Look")
+                    if dest is spent:
+                        raise ValueError(f"robot {rid} Moves twice on one Look")
                     if dest != here and dest in occupied:
                         return Outcome("FAULT", trace, index + 1,
                                        frozenset(occupied), fault="collision")

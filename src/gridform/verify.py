@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .geometry import Point, similar
@@ -10,9 +9,13 @@ from .scheduler import Event, LOOK, MOVE
 from .target import TargetPattern
 
 
-@dataclass
 class Verdict:
-    violations: list = field(default_factory=list)
+    """A checker's findings: one ``(index, rule, detail)`` per violation."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self):
+        self.violations = []
 
     @property
     def passed(self) -> bool:

@@ -424,6 +424,18 @@ class TestBadBatches:
                            match=f"robot {rid} Moves before any Look"):
             run(REF11, LINE_TARGET, ScriptedAdversary(batch))
 
+    @pytest.mark.parametrize("real", [False, True], ids=["idle", "real"])
+    def test_a_second_move_on_one_look_is_rejected(self, real):
+        """The first Move, idle or real, spends the Look: a second Move
+        before the robot Looks again has no decision to apply."""
+        moves = plan_moves(REF11, LINE_TARGET).moves
+        rid = next(r for r, cell in enumerate(sorted(REF11))
+                   if (cell in moves) == real)
+        batch = [(rid, LOOK), (rid, MOVE), (rid, MOVE)]
+        with pytest.raises(ValueError,
+                           match=f"robot {rid} Moves twice on one Look"):
+            run(REF11, LINE_TARGET, ScriptedAdversary(batch))
+
 
 class Moves(dict):
     """A plan's moves, which a weak reference can watch."""

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -152,6 +153,30 @@ class TestReadTrace:
         self.rejects('{"index": 1, "robot": 0, "kind": "MOVE", "from": '
                      f'[0, 0], "to": [0, 1], "snapshot": {snapshot}}}',
                      "is not an earlier index")
+
+    @pytest.mark.parametrize("events", [
+        [(1, MOVE, 0)],
+        [(0, LOOK, None), (0, MOVE, 0)],
+        [(0, MOVE, 0), (0, MOVE, 0)],
+        [(0, MOVE, 0), (0, MOVE, 1)],
+    ], ids=["another robot's look", "an older look", "a look used twice",
+            "a move"])
+    def test_move_that_no_look_of_its_robot_allows(self, events):
+        """After GOOD (robot 0 Looks at index 0), each last MOVE's snapshot
+        names an index that is not its robot's latest unused Look; every
+        line before it loads."""
+        lines = [self.GOOD]
+        for index, (robot, kind, snapshot) in enumerate(events, 1):
+            rec = {"index": index, "robot": robot, "kind": kind,
+                   "from": [robot, 0]}
+            if kind == MOVE:
+                rec.update(to=[robot, 0], snapshot=snapshot)
+            lines.append(json.dumps(rec))
+        assert len(read_trace(lines[:-1])) == len(events)
+        with pytest.raises(ValueError, match=rf"^malformed trace: line "
+                           rf"{len(lines)}: snapshot {snapshot} is not robot "
+                           rf"{robot}'s latest LOOK with no MOVE yet$"):
+            read_trace(lines)
 
     def test_trace_the_verifiers_used_to_pass(self):
         """Read as events with the cells ('a', 'b') and (1,) and the robot
