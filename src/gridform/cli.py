@@ -108,7 +108,8 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
             ev = scheduler.Event(
                 index=rec["index"], robot=rec["robot"], kind=rec["kind"],
                 pos_before=_cell(rec, "from"),
-                pos_after=_cell(rec, "to") if "to" in rec else None,
+                pos_after=(_cell(rec, "to")
+                           if rec["kind"] == scheduler.MOVE else None),
                 phase=rec.get("phase"),
                 snapshot_index=rec.get("snapshot"),
             )
@@ -118,6 +119,10 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
                 raise ValueError(f"robot {ev.robot!r} is not an int")
             if ev.kind not in (scheduler.LOOK, scheduler.MOVE):
                 raise ValueError(f"unknown kind {ev.kind!r}")
+            extra = rec.keys() & ({"phase"} if ev.kind == scheduler.MOVE
+                                  else {"to", "snapshot"})
+            if extra:
+                raise ValueError(f"{ev.kind} with a {min(extra)!r} field")
             if ev.phase not in (None, *verify.PHASE_EDGES):
                 raise ValueError(f"unknown phase {ev.phase!r}")
             s = ev.snapshot_index
@@ -178,20 +183,20 @@ def _at_least_one(value: int, flag: str):
         raise CliError(f"{flag} must be at least 1")
 
 
+def _load_target(path: str, k: int):
+    """The target pattern at ``path``, canonical, if it has k points."""
+    raw = load_config(path)
+    if len(raw) != k:
+        raise CliError(f"{k} robots but {len(raw)} target points")
+    return canonicalize_target(raw)
+
+
 def cmd_run(args) -> int:
     _at_least_one(args.max_events, "--max-events")
     config = load_config(args.config)
-    raw_target = load_config(args.target)
-    if len(config) != len(raw_target):
-        raise CliError(
-            f"{len(config)} robots but {len(raw_target)} target points"
-        )
-    target = canonicalize_target(raw_target)
-    fairness = 4 * len(config) if args.fairness is None else args.fairness
-    if fairness < 2 * len(config):
-        raise CliError(f"--fairness must be at least 2k = {2 * len(config)} "
-                       "(one full round)")
-    adversary = scheduler.make_adversary(args.adversary, fairness, args.seed)
+    target = _load_target(args.target, len(config))
+    adversary = scheduler.make_adversary(args.adversary, 4 * len(config),
+                                         args.seed)
     try:  # a bad path fails before the simulation, not after it
         trace_out = open(args.trace, "w") if args.trace else nullcontext()
     except OSError as exc:
@@ -212,14 +217,12 @@ def cmd_run(args) -> int:
         "verdicts": _verdicts(outcome, target),
         "adversary": args.adversary,
         "seed": args.seed,
-        "fairness_window": fairness,
         "wall_time_s": round(elapsed, 6),
     }
     print(json.dumps(report, indent=2))
     if args.render:  # the final configuration in canonical coordinates
-        frames = canonical_frames(outcome.final)
-        final = decode(to_frame_coords(outcome.final, frames), frames.spec[3])
-        print(render_ascii(frozenset(final), targets=target.points))
+        print(render_ascii(canonicalize_target(outcome.final).points,
+                           targets=target.points))
     return _OUTCOME_EXIT[outcome.kind]
 
 
@@ -230,6 +233,7 @@ def _dir_name(d: Point) -> str:
 
 def cmd_analyze(args) -> int:
     config = load_config(args.config)
+    target = args.target and _load_target(args.target, len(config))
     x0, y0, x1, y1 = bounding_rect(config)
     area = (x1 - x0 + 1) * (y1 - y0 + 1)
     strings = corner_strings(config) if area <= MAX_CELLS else []
@@ -261,11 +265,7 @@ def cmd_analyze(args) -> int:
                          decode((key[0], key[-1]), short_len))
         print(f"head: {head}")
         print(f"tail: {tail}")
-    if args.target:
-        raw_target = load_config(args.target)
-        if len(raw_target) != len(config):
-            raise CliError("configuration and target sizes differ")
-        target = canonicalize_target(raw_target)
+    if target:
         if len(config) == 1:
             print("phase: DONE")  # one robot is always formed
         elif len(frames) == 1:
@@ -318,19 +318,23 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.k_min < 3:
+    try:
+        k_min, k_max = map(int, args.k_range.split(".."))
+    except ValueError:
+        raise CliError(f"bad --k-range {args.k_range!r}") from None
+    if k_min < 3:
         raise CliError("k range must start at 3 or above")
-    if args.k_min > args.k_max:
+    if k_min > k_max:
         raise CliError(f"k range {args.k_range} is empty")
     _at_least_one(args.runs, "--runs")
     _at_least_one(args.max_events, "--max-events")
-    _check_box(args.k_max, args.box)
+    _check_box(k_max, args.box)
     rng = random.Random(args.seed)
     kinds = tuple(scheduler.ADVERSARIES)
     failures = []
     results = []
     for i in range(args.runs):
-        k = rng.randint(args.k_min, args.k_max)
+        k = rng.randint(k_min, k_max)
         config = _asymmetric_config(k, args.box, rng)
         target = canonicalize_target(random_points(k, args.box, rng))
         kind = kinds[i % len(kinds)]
@@ -374,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--adversary", default="random",
                     choices=list(scheduler.ADVERSARIES))
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--fairness", type=int, default=None,
-                    help="fairness window W (default 4k)")
     pr.add_argument("--max-events", type=int, default=100_000)
     pr.add_argument("--trace", help="write the event trace to this file")
     pr.add_argument("--render", action="store_true")
@@ -409,13 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fuzz":
-        try:
-            lo, hi = args.k_range.split("..")
-            args.k_min, args.k_max = int(lo), int(hi)
-        except ValueError:
-            print(f"error: bad --k-range {args.k_range!r}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except CliError as exc:

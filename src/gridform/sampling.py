@@ -10,7 +10,7 @@ from .canonical import is_asymmetric
 MAX_TRIES = 10_000  # samples before ``random_asymmetric_config`` gives up
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # callers sample from a handful of box sides
 def _cells(box: int) -> tuple:
     """The cells of a box x box grid, shared by every sample from it."""
     return tuple((x, y) for x in range(box) for y in range(box))

@@ -69,8 +69,6 @@ class Adversary:
     """Base adversary: random per-robot local frames, batches of events."""
 
     def __init__(self, fairness_window: int, seed: int = 0):
-        if fairness_window < 2:
-            raise ValueError("fairness window must be at least 2")
         self.fairness_window = fairness_window
         self._rng = random.Random(seed)
 

@@ -227,6 +227,37 @@ class TestPhaseRules:
         with pytest.raises(RuleViolation, match=match):
             phase_moves(key, cv, phase, target)
 
+    @pytest.mark.parametrize("phase, points, head, tail, V, goal, match", [
+        ("P2", {(0, 0), (1, 1), (7, 2)}, (0, 0), (7, 2), 3, (7, 2),
+         "phase 2 with the head already at the origin"),
+        ("P2", {(0, 1), (0, 2), (7, 0)}, (0, 2), (7, 0), 3, (7, 0),
+         "cell below the head is occupied"),
+        # C' = {(0, 0), (0, 2), (1, 1)} is symmetric about y = 1
+        ("P3", {(0, 0), (0, 2), (1, 1), (5, 1)}, (0, 0), (5, 1), 3, (5, 0),
+         "phase 3 tail on or above the reflection axis"),
+        ("P5", {(0, 0), (0, 2), (1, 1), (5, 0)}, (0, 0), (5, 0), 3, (5, 2),
+         "t~_target strictly between the axis and C''"),
+        ("P5", {(0, 0), (0, 2), (1, 1), (5, 1)}, (0, 0), (5, 1), 3, (5, 0),
+         r"phase 5 tail inside \[C''', C''\]"),
+        ("P5", {(0, 0), (0, 1), (1, 1), (5, 1)}, (0, 0), (5, 1), 2, (5, 1),
+         "phase 5 with the tail already on the target row"),
+        ("P7", {(0, 0), (1, 1), (5, 1)}, (0, 0), (5, 1), 2, (5, 0),
+         "phase 7 with the tail already at t_target"),
+    ], ids=["P2 head at origin", "P2 below head occupied", "P3 tail on axis",
+            "P5 goal inside C''", "P5 tail inside C''", "P5 tail on goal row",
+            "P7 tail at goal"])
+    def test_excluded_configuration_is_a_rule_violation(
+            self, phase, points, head, tail, V, goal, match):
+        """Each rule's guard, reached with a hand-built key and condition
+        vector; only the sizes, head and tail the rule reads matter."""
+        key, short_len = scan(points, 3)
+        cv = ConditionVector(*[False] * 8, m=short_len, n=8, H=3, V=V,
+                             head=head, tail=tail)
+        t = TargetPattern(frozenset(), M=3, N=8, h_target=(0, 0),
+                          t_target=goal)
+        with pytest.raises(RuleViolation, match=f"^{match}$"):
+            phase_moves(key, cv, phase, t)
+
     def test_moves_never_collide(self):
         for config, target, _ in PHASE_CASES.values():
             plan = plan_moves(config, target)

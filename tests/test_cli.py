@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -216,17 +220,18 @@ class TestRunCommand:
                        "--adversary", kind, "--max-events", "2"])
             assert rc == EXIT_LIMIT
 
-    @pytest.mark.parametrize("fairness", ["3", "1", "0", "-4"])
-    def test_fairness_below_one_round_usage_error(self, tmp_path, fairness,
-                                                  capsys):
-        config, target = tmp_path / "c.txt", tmp_path / "t.txt"
-        config.write_text("0 0\n1 0\n0 2\n")
-        target.write_text("0 0\n1 0\n2 0\n")
-        rc = main(["run", "--config", str(config), "--target", str(target),
-                   "--fairness", fairness])
-        assert rc == EXIT_USAGE
-        assert "error: --fairness must be at least 2k = 6" in (
+    def test_no_fairness_option(self, ref11_file, line_file, capsys):
+        """The adversaries read no window: ``run`` passes 4k, as every
+        other caller does, and neither takes nor reports one."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", ref11_file, "--target", line_file,
+                  "--fairness", "8"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --fairness 8" in (
             capsys.readouterr().err)
+        assert main(["run", "--config", ref11_file, "--target", line_file,
+                     "--max-events", "2"]) == EXIT_LIMIT
+        assert "fairness_window" not in json.loads(capsys.readouterr().out)
 
     def test_size_mismatch_usage_error(self, ref11_file, tmp_path, capsys):
         small = tmp_path / "small.txt"
@@ -322,6 +327,16 @@ class TestAnalyzeCommand:
     def test_missing_file(self, capsys):
         rc = main(["analyze", "--config", "/nonexistent/x.txt"])
         assert rc == EXIT_USAGE
+
+    def test_size_mismatch_usage_error_before_any_output(self, ref11_file,
+                                                         tmp_path, capsys):
+        small = tmp_path / "small.txt"
+        small.write_text("0 0\n1 0\n0 2\n")
+        assert main(["analyze", "--config", ref11_file, "--target",
+                     str(small), "--render"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 11 robots but 3 target points\n"
 
     @pytest.mark.parametrize("points, frames", [
         ("0 0\n1 0\n3 0\n",
@@ -457,7 +472,16 @@ class TestFuzzCommand:
             "cell below the head is occupied"}
 
     def test_bad_range_usage_error(self, capsys):
-        assert main(["fuzz", "--runs", "1", "--k-range", "oops"]) == EXIT_USAGE
+        for k_range in ["oops", "3..", "3..4..5", "3-5"]:
+            rc = main(["fuzz", "--runs", "1", "--k-range", k_range])
+            assert rc == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: bad --k-range {k_range!r}\n")
+
+    def test_range_below_three_usage_error(self, capsys):
+        assert main(["fuzz", "--runs", "1", "--k-range", "2..5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: k range must start at 3 or above\n")
 
     def test_empty_range_usage_error(self, capsys):
         assert main(["fuzz", "--runs", "1", "--k-range", "5..3"]) == EXIT_USAGE
@@ -493,3 +517,31 @@ class TestUsage:
             main(["run", "--config", ref11_file, "--target", line_file,
                   "--adversary", "psychic"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestExitStatus:
+    """The documented statuses as a shell sees them, through the module's
+    ``__main__`` guard: 0 formed, 1 usage, 2 limit."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def gridform(self, *argv):
+        path = os.pathsep.join(filter(None, [str(self.SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "gridform.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    @pytest.mark.parametrize("extra, status", [
+        ([], EXIT_OK), (["--max-events", "22"], EXIT_LIMIT),
+        (["--fairness", "8"], EXIT_USAGE), (["--max-events", "0"], EXIT_USAGE),
+    ], ids=["formed", "limit", "unknown option", "bad value"])
+    def test_run(self, ref11_file, line_file, extra, status):
+        done = self.gridform("run", "--config", ref11_file, "--target",
+                             line_file, "--adversary", "round_robin", *extra)
+        assert done.returncode == status, done.stderr
+        if status == EXIT_USAGE:
+            assert done.stdout == "" and "error: " in done.stderr
+        else:
+            outcome = {EXIT_OK: "FORMED", EXIT_LIMIT: "LIMIT_EXCEEDED"}
+            assert json.loads(done.stdout)["outcome"] == outcome[status]

@@ -98,6 +98,9 @@ class TestSimilar:
     def test_size_mismatch(self):
         assert similar({(0, 0)}, {(0, 0), (1, 0)}) is None
 
+    def test_empty_sets_are_similar_by_the_identity(self):
+        assert similar(set(), frozenset()) is IDENTITY
+
     @given(c=points_strategy)
     def test_reflexive(self, c):
         assert similar(c, c) is not None

@@ -42,10 +42,6 @@ class TestAdversaries:
         with pytest.raises(ValueError, match="unknown adversary"):
             make_adversary("chaotic", 8)
 
-    def test_window_too_small(self):
-        with pytest.raises(ValueError, match="fairness window"):
-            make_adversary("random", 1)
-
     def test_round_robin_order(self):
         adv = RoundRobinAdversary(8)
         assert adv.next_batch(3, None) == [

@@ -68,17 +68,17 @@ class TestCollisionFree:
             check_collision_free(trace)
 
     def test_move_without_a_destination_from_a_trace_file(self):
+        """Such a MOVE is rejected as the file is read, before a verifier
+        sees it."""
         lines = ['{"index": 0, "robot": 0, "kind": "LOOK_COMPUTE", '
                  '"from": [0, 0]}',
                  '{"index": 1, "robot": 0, "kind": "MOVE", "from": [0, 0], '
                  '"snapshot": 0}',
                  '{"index": 2, "robot": 0, "kind": "LOOK_COMPUTE", '
                  '"from": [7, 7]}']
-        trace = read_trace(lines)
-        assert trace[1].pos_after is None
-        with pytest.raises(ValueError, match="malformed trace: robot 0 "
-                           "moves to no cell at event 1"):
-            check_collision_free(trace)
+        with pytest.raises(ValueError, match="^malformed trace: line 2: "
+                           "no field 'to'$"):
+            read_trace(lines)
 
     def test_unknown_kind_is_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -177,6 +177,21 @@ class TestReadTrace:
                            rf"{len(lines)}: snapshot {snapshot} is not robot "
                            rf"{robot}'s latest LOOK with no MOVE yet$"):
             read_trace(lines)
+
+    @pytest.mark.parametrize("bad, detail", [
+        ('"kind": "LOOK_COMPUTE", "from": [0, 0], "to": [0, 1]',
+         "LOOK_COMPUTE with a 'to' field"),
+        ('"kind": "LOOK_COMPUTE", "from": [0, 0], "snapshot": 0',
+         "LOOK_COMPUTE with a 'snapshot' field"),
+        ('"kind": "MOVE", "from": [0, 0], "snapshot": 0', "no field 'to'"),
+        ('"kind": "MOVE", "from": [0, 0], "to": [0, 1], "snapshot": 0, '
+         '"phase": "P1"', "MOVE with a 'phase' field"),
+    ], ids=["look with to", "look with snapshot", "move without to",
+            "move with phase"])
+    def test_field_that_its_kind_never_writes(self, bad, detail):
+        """``write_trace`` gives a LOOK no destination or snapshot, and a
+        MOVE a destination but no phase."""
+        self.rejects(f'{{"index": 1, "robot": 0, {bad}}}', detail)
 
     def test_trace_the_verifiers_used_to_pass(self):
         """Read as events with the cells ('a', 'b') and (1,) and the robot
