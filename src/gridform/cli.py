@@ -1,4 +1,4 @@
-"""Command-line front end: run, analyze, gen, fuzz."""
+"""Command-line front end: run, analyze, fuzz."""
 
 from __future__ import annotations
 
@@ -285,38 +285,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_box(k: int, box: int):
-    if k > max(box, 0) ** 2:
-        raise CliError(f"--box {box} has fewer than k = {k} cells")
-
-
-def _asymmetric_config(k: int, box: int, rng: random.Random) -> frozenset:
-    try:
-        return random_asymmetric_config(k, box, rng)
-    except RuntimeError as exc:
-        raise CliError(str(exc)) from None
-
-
-def cmd_gen(args) -> int:
-    if args.k < 3:
-        raise CliError("--k must be at least 3 (smaller swarms are symmetric)")
-    _at_least_one(args.count, "--count")
-    _check_box(args.k, args.box)
-    rng = random.Random(args.seed)
-    outdir = Path(args.out_dir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i in range(args.count):
-            c = _asymmetric_config(args.k, args.box, rng)
-            path = outdir / f"config_k{args.k}_s{args.seed}_{i:03d}.txt"
-            path.write_text(f"# asymmetric, k={args.k}, box={args.box}\n"
-                            + format_config(c))
-            print(path)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    return EXIT_OK
-
-
 def cmd_fuzz(args) -> int:
     try:
         k_min, k_max = map(int, args.k_range.split(".."))
@@ -328,14 +296,18 @@ def cmd_fuzz(args) -> int:
         raise CliError(f"k range {args.k_range} is empty")
     _at_least_one(args.runs, "--runs")
     _at_least_one(args.max_events, "--max-events")
-    _check_box(k_max, args.box)
+    if k_max > max(args.box, 0) ** 2:
+        raise CliError(f"--box {args.box} has fewer than k = {k_max} cells")
     rng = random.Random(args.seed)
     kinds = tuple(scheduler.ADVERSARIES)
     failures = []
     results = []
     for i in range(args.runs):
         k = rng.randint(k_min, k_max)
-        config = _asymmetric_config(k, args.box, rng)
+        try:
+            config = random_asymmetric_config(k, args.box, rng)
+        except RuntimeError as exc:
+            raise CliError(str(exc)) from None
         target = canonicalize_target(random_points(k, args.box, rng))
         kind = kinds[i % len(kinds)]
         adversary = scheduler.make_adversary(kind, 4 * k, rng.randrange(2**32))
@@ -388,14 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--target")
     pa.add_argument("--render", action="store_true")
     pa.set_defaults(func=cmd_analyze)
-
-    pg = sub.add_parser("gen", help="generate asymmetric configurations")
-    pg.add_argument("--k", type=int, required=True)
-    pg.add_argument("--box", type=int, default=12)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--count", type=int, default=1)
-    pg.add_argument("--out-dir", default=".")
-    pg.set_defaults(func=cmd_gen)
 
     pf = sub.add_parser("fuzz", help="batch random end-to-end runs")
     pf.add_argument("--runs", type=int, required=True)

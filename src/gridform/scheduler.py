@@ -169,9 +169,8 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
     frames = adversary.robot_frames(k)  # local = frame(global)
     pos = sorted(initial)
     occupied = set(initial)  # updated in place by each real Move
-    unlooked = object()  # pending until the robot's first Look
-    spent = object()  # pending from each Move until the next Look
-    pending = [unlooked] * k  # global cell chosen at the last Look; None = stay
+    spent = object()  # pending with no Look to act on: none yet, or Moved on
+    pending = [spent] * k  # global cell chosen at the last Look; None = stay
     since, moved = [-1] * k, -1  # index of that Look; of the last real Move
 
     def enabled():  # in id order; none only if moved < min(since)
@@ -213,10 +212,10 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                                      here if dest is None else dest,
                                      None, since[rid])))
                 if dest is not None:
-                    if dest is unlooked:
-                        raise ValueError(f"robot {rid} Moves before any Look")
                     if dest is spent:
-                        raise ValueError(f"robot {rid} Moves twice on one Look")
+                        raise ValueError(f"robot {rid} Moves " + (
+                            "before any Look" if since[rid] < 0
+                            else "twice on one Look"))
                     if dest != here and dest in occupied:
                         return Outcome("FAULT", trace, index + 1,
                                        frozenset(occupied), fault="collision")

@@ -40,7 +40,8 @@ PHASE_EDGES = {
 
 
 def check_collision_free(trace: Iterable[Event]) -> Verdict:
-    """Replay the trace and flag any event after which two robots coincide.
+    """Replay the trace and flag any event after which two robots coincide
+    ("collision") or any real Move that is not one grid step ("step").
 
     ``count`` holds how many known robots stand on each occupied cell, so
     every event is O(1); a cell stays occupied until its last robot leaves.
@@ -67,6 +68,9 @@ def check_collision_free(trace: Iterable[Event]) -> Verdict:
             if after is None:
                 raise ValueError(f"malformed trace: robot {robot} moves to "
                                  f"no cell at event {ev[0]}")
+            if abs(after[0] - before[0]) + abs(after[1] - before[1]) != 1:
+                v.flag(ev[0], "step", f"robot {robot} moves {before} -> "
+                       f"{after}, not to an adjacent cell")
             if after in count:  # the mover stands on ``before``, not here
                 v.flag(ev[0], "collision",
                        f"robot {robot} moves onto an occupied cell")

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from gridform.cli import (
     EXIT_USAGE,
     MAX_CELLS,
     CliError,
+    build_parser,
     format_config,
     main,
     parse_config,
@@ -396,62 +398,6 @@ class TestFileEncoding:
         assert "can't decode byte 0xe9" in err
 
 
-class TestGenCommand:
-    def test_generates_asymmetric_files(self, tmp_path, capsys):
-        from gridform.canonical import is_asymmetric
-
-        rc = main(["gen", "--k", "5", "--count", "3", "--seed", "9",
-                   "--out-dir", str(tmp_path)])
-        assert rc == EXIT_OK
-        files = sorted(tmp_path.glob("config_k5_s9_*.txt"))
-        assert len(files) == 3
-        for f in files:
-            c = parse_config(f.read_text(), source=str(f))
-            assert len(c) == 5
-            assert is_asymmetric(c)
-
-    def test_k_below_three_rejected(self, capsys):
-        assert main(["gen", "--k", "2"]) == EXIT_USAGE
-
-    def test_box_too_small_usage_error(self, tmp_path, capsys):
-        rc = main(["gen", "--k", "30", "--box", "4", "--out-dir",
-                   str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert "error: --box 4 has fewer than k = 30 cells" in (
-            capsys.readouterr().err)
-
-    def test_no_asymmetric_configuration_usage_error(self, tmp_path, capsys):
-        # the only 9 cells of a 3x3 box form a symmetric square
-        rc = main(["gen", "--k", "9", "--box", "3", "--out-dir",
-                   str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert "error: no asymmetric 9-point set" in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_count_below_one_usage_error(self, tmp_path, count, capsys):
-        rc = main(["gen", "--k", "5", "--count", count, "--out-dir",
-                   str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert "error: --count must be at least 1" in capsys.readouterr().err
-
-    def test_out_dir_is_a_file_usage_error(self, tmp_path, capsys):
-        existing = tmp_path / "taken"
-        existing.write_text("not a directory\n")
-        rc = main(["gen", "--k", "5", "--out-dir", str(existing)])
-        assert rc == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error:" in captured.err and "taken" in captured.err
-
-    def test_unwritable_file_usage_error(self, tmp_path, capsys):
-        # a directory where the first output file should go
-        (tmp_path / "config_k5_s0_000.txt").mkdir()
-        rc = main(["gen", "--k", "5", "--out-dir", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
-
-
 class TestFuzzCommand:
     def test_small_batch_all_formed(self, capsys):
         rc = main(["fuzz", "--runs", "6", "--k-range", "3..5", "--box", "8",
@@ -493,6 +439,15 @@ class TestFuzzCommand:
         assert "error: --box 4 has fewer than k = 30 cells" in (
             capsys.readouterr().err)
 
+    def test_no_asymmetric_configuration_usage_error(self, capsys):
+        # the only 9 cells of a 3x3 box form a symmetric square
+        rc = main(["fuzz", "--runs", "1", "--k-range", "9..9", "--box", "3"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no asymmetric 9-point set found in a 3x3 box\n")
+
 
     @pytest.mark.parametrize("flag", ["--runs", "--max-events"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -517,6 +472,21 @@ class TestUsage:
             main(["run", "--config", ref11_file, "--target", line_file,
                   "--adversary", "psychic"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestReadmeExamples:
+    def test_cli_examples_parse(self):
+        """Each ``gridform`` command in README's CLI block, its ``\\``
+        continuations joined, names a command and options that exist."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = text.split("```sh\n", 1)[1].split("\n```", 1)[0]
+        commands = [shlex.split(line) for line in
+                    block.replace("\\\n", " ").splitlines()
+                    if line.startswith("gridform ")]
+        assert commands
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
 
 
 class TestExitStatus:

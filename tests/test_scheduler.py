@@ -423,11 +423,13 @@ class TestBadBatches:
     @pytest.mark.parametrize("real", [False, True], ids=["idle", "real"])
     def test_a_second_move_on_one_look_is_rejected(self, real):
         """The first Move, idle or real, spends the Look: a second Move
-        before the robot Looks again has no decision to apply."""
+        before the robot Looks again has no decision to apply. Another
+        robot Looks first, so the spent Look is not at index 0."""
         moves = plan_moves(REF11, LINE_TARGET).moves
         rid = next(r for r, cell in enumerate(sorted(REF11))
                    if (cell in moves) == real)
-        batch = [(rid, LOOK), (rid, MOVE), (rid, MOVE)]
+        other = (rid + 1) % len(REF11)
+        batch = [(other, LOOK), (rid, LOOK), (rid, MOVE), (rid, MOVE)]
         with pytest.raises(ValueError,
                            match=f"robot {rid} Moves twice on one Look"):
             run(REF11, LINE_TARGET, ScriptedAdversary(batch))

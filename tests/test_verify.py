@@ -80,6 +80,14 @@ class TestCollisionFree:
                            "no field 'to'$"):
             read_trace(lines)
 
+    @pytest.mark.parametrize("dst", [(2, 0), (1, 1)],
+                             ids=["two-cell jump", "diagonal"])
+    def test_move_that_is_not_one_grid_step(self, dst):
+        trace = [look(0, 0, (0, 0)), move(1, 0, (0, 0), dst)]
+        assert check_collision_free(trace).violations == [
+            (1, "step", f"robot 0 moves (0, 0) -> {dst}, not to an "
+             "adjacent cell")]
+
     def test_unknown_kind_is_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             check_collision_free([Event(0, 0, "TELEPORT", (0, 0))])
@@ -207,6 +215,10 @@ class TestReadTrace:
             read_trace(lines)
 
 
+def l1(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
 def reference_collision_free(trace):
     """The O(k)-per-event replay ``check_collision_free`` replaced: the
     other robots' cells are rebuilt on every move and a new robot is
@@ -227,6 +239,10 @@ def reference_collision_free(trace):
                 f"malformed trace: robot {ev.robot} jumps at event {ev.index}"
             )
         if ev.kind == MOVE and ev.pos_after != ev.pos_before:
+            if l1(ev.pos_before, ev.pos_after) != 1:
+                v.flag(ev.index, "step", f"robot {ev.robot} moves "
+                       f"{ev.pos_before} -> {ev.pos_after}, not to an "
+                       "adjacent cell")
             others = {p for r, p in positions.items() if r != ev.robot}
             if ev.pos_after in others:
                 v.flag(ev.index, "collision",
@@ -305,9 +321,14 @@ class TestCollisionReplayMatchesReference:
                             if r != trace[i].robot]
                 if not occupied:
                     continue
-                bad = trace[:i] + [trace[i]._replace(
-                    pos_after=rng.choice(occupied))]
-                assert len(assert_same_replay(bad)) == 1
+                dest = rng.choice(occupied)
+                bad = trace[:i] + [trace[i]._replace(pos_after=dest)]
+                # a destination that is not adjacent is a bad step as well
+                rules = ["collision"]
+                if l1(trace[i].pos_before, dest) != 1:
+                    rules.insert(0, "step")
+                assert [(j, rule) for j, rule, _ in assert_same_replay(bad)
+                        ] == [(i, rule) for rule in rules]
                 # the rest of the trace no longer follows: both call it
                 # malformed or both flag the same events
                 assert_same_replay(bad + trace[i + 1:])
@@ -318,10 +339,10 @@ class TestCollisionReplayMatchesReference:
         trace = [
             look(0, 0, (0, 0)), look(1, 1, (0, 0)),  # two robots on one cell
             move(2, 0, (0, 0), (1, 0)),              # one of them leaves
-            look(3, 2, (2, 0)),
-            move(4, 2, (2, 0), (0, 0)),              # robot 1 is still there
+            look(3, 2, (-1, 0)),
+            move(4, 2, (-1, 0), (0, 0)),             # robot 1 is still there
             move(5, 1, (0, 0), (0, 1)),
-            move(6, 2, (0, 0), (0, 2)),
+            move(6, 2, (0, 0), (0, -1)),
             look(7, 3, (0, 0)),                      # now the cell is free
         ]
         expected = assert_same_replay(trace)
