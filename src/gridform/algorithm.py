@@ -28,14 +28,13 @@ class RuleViolation(RuntimeError):
 class StepPlan(NamedTuple):
     """Global view of one decision round: which robots move where.
 
-    ``moves`` maps a mover's position to its destination cell, in the same
-    coordinates the configuration was given in.
+    ``phase`` is ``"DONE"`` once the target is formed, and None when a
+    symmetric configuration has no rule. ``moves`` maps a mover's position
+    to its destination cell, in the coordinates of the configuration.
     """
 
-    formed: bool
     phase: Optional[str]
     moves: dict
-    stuck_symmetric: bool = False
 
 
 def snake_index(p: Point, m: int, n: int) -> Optional[int]:
@@ -251,7 +250,7 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     key = to_frame_coords(points, frames)
     short_len = frames.spec[3]
     if key == target_key(t, short_len)[1]:
-        return tuple.__new__(StepPlan, (True, "DONE", {}, False))
+        return tuple.__new__(StepPlan, ("DONE", {}))
     try:
         cv = evaluate_conditions(key, short_len, t)
         phase = classify_phase(cv)
@@ -259,7 +258,7 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
     except RuleViolation:
         if len(frames) == 1:
             raise
-        return tuple.__new__(StepPlan, (False, None, {}, True))
+        return tuple.__new__(StepPlan, (None, {}))
     back = _back(frames[0])
     moves = {back[src]: back[dst] for src, dst in fm.items()}
     for g in frames[1:]:
@@ -267,5 +266,4 @@ def plan_moves(points: Iterable[Point], t: TargetPattern) -> StepPlan:
                  for src, dst in fm.items()}
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
-    return tuple.__new__(StepPlan,
-                         (False, phase, moves, len(frames) > 1 and not moves))
+    return tuple.__new__(StepPlan, (phase, moves))

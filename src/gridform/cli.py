@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -46,10 +47,9 @@ def parse_config(text: str, source: str = "<config>") -> frozenset:
         parts = line.split()
         if len(parts) != 2:
             raise CliError(f"{source}:{lineno}: expected 'x y', got {raw!r}")
-        try:
-            p = (int(parts[0]), int(parts[1]))
-        except ValueError:
+        if not all(re.fullmatch("[+-]?[0-9]+", v) for v in parts):
             raise CliError(f"{source}:{lineno}: non-integer coordinate in {raw!r}")
+        p = (int(parts[0]), int(parts[1]))
         if p in points:
             raise CliError(f"{source}:{lineno}: duplicate point {p}")
         points.add(p)
@@ -115,15 +115,15 @@ def read_trace(lines: Iterable[str]) -> list[scheduler.Event]:
             )
             if type(ev.index) is not int or ev.index != len(events):
                 raise ValueError(f"index {ev.index!r}, not {len(events)}")
-            if type(ev.robot) is not int:
-                raise ValueError(f"robot {ev.robot!r} is not an int")
+            if type(ev.robot) is not int or ev.robot < 0:
+                raise ValueError(f"robot {ev.robot!r} is not an int >= 0")
             if ev.kind not in (scheduler.LOOK, scheduler.MOVE):
                 raise ValueError(f"unknown kind {ev.kind!r}")
-            extra = rec.keys() & ({"phase"} if ev.kind == scheduler.MOVE
-                                  else {"to", "snapshot"})
+            extra = rec.keys() - {"index", "robot", "kind", "from", *(
+                ("to", "snapshot") if ev.kind == scheduler.MOVE else ("phase",))}
             if extra:
                 raise ValueError(f"{ev.kind} with a {min(extra)!r} field")
-            if ev.phase not in (None, *verify.PHASE_EDGES):
+            if "phase" in rec and ev.phase not in tuple(verify.PHASE_EDGES):
                 raise ValueError(f"unknown phase {ev.phase!r}")
             s = ev.snapshot_index
             if s is not None and not (type(s) is int and 0 <= s < ev.index):

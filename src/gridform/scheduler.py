@@ -10,7 +10,7 @@ Moves once (Look first): any window of 4k events holds each robot's cycle.
 Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
 inline. A run keeps only the plan of the configuration the robots see now:
 the first Look after a real Move plans afresh; a collinear configuration
-refreshes every Look, from its per-frame plans.
+is planned at each Look, in the Looking robot's frame.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ class Adversary:
 
 
 class RoundRobinAdversary(Adversary):
-    """Synchronous-like: L0 M0 L1 M1 ... each round, in the global axes."""
+    """Sequential: L0 M0 L1 M1 ... each round, each robot Looking and
+    Moving back to back, in the global axes."""
 
     def robot_frames(self, k):
         return [IDENTITY] * k
@@ -92,8 +93,8 @@ class RoundRobinAdversary(Adversary):
 
 
 class RandomAdversary(Adversary):
-    """Uniform interleaving: Looks and Moves shuffled, Look-before-Move
-    per robot preserved."""
+    """Uniform interleaving within each round: Looks and Moves shuffled,
+    Look-before-Move per robot preserved."""
 
     def next_batch(self, k, enabled):
         looks, moves = _events(k)
@@ -108,7 +109,8 @@ class RandomAdversary(Adversary):
 
 
 class MaxStaleAdversary(Adversary):
-    """All Looks first, then all Moves: every decision is maximally stale."""
+    """All Looks first, then all Moves: each round is FSYNC-like, and a
+    decision is at most 2k - 1 events stale."""
 
     def next_batch(self, k, enabled):
         looks, moves = map(list, _events(k))
@@ -132,30 +134,26 @@ def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
     return cls(fairness_window, seed)
 
 
-def _plan(line: dict, positions: frozenset, frame: Isometry,
-          target: TargetPattern):
+def _plan(positions: frozenset, frame: Isometry, target: TargetPattern):
     """The plan of ``positions``, in global coordinates. A collinear one,
-    whose Y-axis is a local fallback, is planned in the robot's own frame,
-    once per frame, into ``line``, which holds only its plans."""
+    whose Y-axis is a local fallback, is planned in the robot's own frame."""
     if not collinear(positions):
         return plan_moves(positions, target)
-    plan = line.get(frame)
-    if plan is None:
-        local = plan_moves(frame.apply_set(positions), target)
-        inv = frame.inverse()
-        line[frame] = plan = local._replace(moves={
-            inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
-    return plan
+    local = plan_moves(frame.apply_set(positions), target)
+    inv = frame.inverse()
+    return local._replace(moves={
+        inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
 
 
 def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         max_events: int = 100_000) -> Outcome:
     """Simulate until the pattern is formed, a fault occurs, or the event
     budget runs out. A robot is enabled if it holds a pending Move or
-    Looked before the last real Move (or never Looked). The run is over
-    after a batch that leaves none enabled, with the verdict of the final
-    configuration's plans. An empty batch is a ``ValueError``, as is a Move
-    by a robot that never Looked or whose last Look has had its Move."""
+    Looked before the last real Move (or never Looked). After a batch that
+    leaves none enabled the run is FORMED if the last plan is ``"DONE"``,
+    else ``stuck-symmetric`` in a symmetric configuration, else
+    ``internal``. An empty batch is a ``ValueError``, as is a Move by a
+    robot that never Looked or whose last Look has had its Move."""
     initial = frozenset(initial)
     k = len(initial)
     if k != len(target.points):
@@ -179,7 +177,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
 
     positions = initial  # occupied, frozen when the plan was last refreshed
     stale = True  # no plan yet, or a real Move since: the next Look plans
-    line: dict = {}  # a collinear configuration's plans, per robot frame
+    line = False  # positions is collinear: each Look plans in its frame
     event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
     append = trace.append
     index = 0
@@ -193,11 +191,12 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                                frozenset(occupied))
             here = pos[rid]
             if kind == LOOK:
-                if stale or line:  # a collinear one refreshes every Look
+                if stale or line:
                     if stale:
-                        positions, stale, line = frozenset(occupied), False, {}
+                        positions, stale = frozenset(occupied), False
+                        line = collinear(positions)
                     try:
-                        plan = _plan(line, positions, frames[rid], target)
+                        plan = _plan(positions, frames[rid], target)
                     except RuleViolation as exc:
                         return Outcome("FAULT", trace, index, positions,
                                        fault="internal", detail=str(exc))
@@ -225,9 +224,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                     moved, stale = index, True
             index += 1
         if moved < min(since) and not enabled():
-            final = [line[f] for f in frames] if line else [plan]
-            if all(plan.formed for plan in final):
+            if plan.phase == "DONE":
                 return Outcome("FORMED", trace, index, positions)
-            stuck = any(plan.stuck_symmetric for plan in final)
-            return Outcome("FAULT", trace, index, positions,
-                           fault="stuck-symmetric" if stuck else "internal")
+            return Outcome("FAULT", trace, index, positions, fault=(
+                "internal" if is_asymmetric(positions) else "stuck-symmetric"))

@@ -137,7 +137,7 @@ def reference_plan_moves(points: Iterable[Point], t) -> StepPlan:
     key = to_frame_coords(points, frames)
     short_len = frames.spec[3]
     if key == target_key(t, short_len)[1]:
-        return StepPlan(formed=True, phase="DONE", moves={})
+        return StepPlan(phase="DONE", moves={})
     try:
         cv = evaluate_conditions(key, short_len, t)
         phase = classify_phase(cv)
@@ -145,15 +145,14 @@ def reference_plan_moves(points: Iterable[Point], t) -> StepPlan:
     except RuleViolation:
         if len(frames) == 1:
             raise
-        return StepPlan(formed=False, phase=None, moves={},
-                        stuck_symmetric=True)
+        return StepPlan(phase=None, moves={})
     moves = arithmetic_map_back(fm, frames[0])
     for g in frames[1:]:
         other = {from_frame_coords(src, g): from_frame_coords(dst, g)
                  for src, dst in fm.items()}
         moves = {src: dst for src, dst in moves.items()
                  if other.get(src) == dst}
-    return StepPlan(False, phase, moves, len(frames) > 1 and not moves)
+    return StepPlan(phase, moves)
 
 
 # The adversaries' round bodies as they were before the scheduler

@@ -147,7 +147,7 @@ def _harvest_phase_states(wanted, per_phase, seed):
             if key in wanted and not full(key):
                 pools[key].append((cf, t))
             plan = plan_moves(cur, t)
-            if plan.formed or not plan.moves:
+            if not plan.moves:
                 break
             cur = frozenset(
                 (set(cur) - set(plan.moves)) | set(plan.moves.values())
@@ -196,7 +196,7 @@ def test_criterion_6_frame_invariance():
         for lin in LINEAR_CLASSES:
             g = lin._replace(tx=rng.randint(-8, 8), ty=rng.randint(-8, 8))
             img = plan_moves(g.apply_set(c), t)
-            assert img.formed == base.formed
+            assert (img.phase == "DONE") == (base.phase == "DONE")
             assert img.moves == {
                 g.apply(src): g.apply(dst)
                 for src, dst in base.moves.items()

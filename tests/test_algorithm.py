@@ -21,7 +21,8 @@ from gridform.canonical import (_box_scans, canonical_frames, holds,
                                 is_asymmetric)
 from gridform.conditions import (ConditionVector, evaluate_conditions,
                                  target_key)
-from gridform.geometry import LINEAR_CLASSES, Isometry, bounding_rect
+from gridform.geometry import (LINEAR_CLASSES, Isometry, bounding_rect,
+                               similar)
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import _plan
 from gridform.target import TargetPattern, canonicalize_target
@@ -145,7 +146,6 @@ class TestPhaseRules:
     def test_frozen_example(self, phase):
         config, target, expected = PHASE_CASES[phase]
         plan = plan_moves(config, target)
-        assert not plan.formed
         assert plan.phase == phase
         assert plan.moves == expected
 
@@ -160,23 +160,23 @@ class TestPhaseRules:
 
     def test_formed_configuration(self):
         plan = plan_moves(REF11, canonicalize_target(REF11))
-        assert plan.formed
         assert plan.phase == "DONE"
         assert plan.moves == {}
 
     def test_formed_up_to_isometry(self):
         g = Isometry(0, -1, -1, 0, tx=-2, ty=9)
         plan = plan_moves(g.apply_set(REF11), canonicalize_target(REF11))
-        assert plan.formed
+        assert plan.phase == "DONE"
 
     def test_single_robot_is_always_formed(self):
-        assert plan_moves({(3, 7)}, canonicalize_target({(0, 0)})).formed
+        plan = plan_moves({(3, 7)}, canonicalize_target({(0, 0)}))
+        assert plan.phase == "DONE"
 
     def test_symmetric_configuration_reports_stuck(self):
         target = canonicalize_target({(0, 0), (3, 0)})
         plan = plan_moves({(0, 0), (1, 0)}, target)
-        assert plan.stuck_symmetric
         assert plan.moves == {}
+        assert len(canonical_frames({(0, 0), (1, 0)})) == 2
 
     @pytest.mark.parametrize("phase", ["P1", "P2", "P3", "P5", "P6", "P7"])
     def test_exactly_one_mover_outside_phase4(self, phase):
@@ -450,7 +450,7 @@ class TestPlanProperties:
             g = rng.choice(LINEAR_CLASSES)._replace(tx=rng.randint(-6, 6),
                                                     ty=rng.randint(-6, 6))
             img = plan_moves(g.apply_set(c), t)
-            assert img.formed == base.formed
+            assert (img.phase == "DONE") == (base.phase == "DONE")
             assert img.moves == {
                 g.apply(src): g.apply(dst) for src, dst in base.moves.items()
             }
@@ -461,7 +461,7 @@ class TestPlanProperties:
             c = random_asymmetric_config(k, 7, rng)
             t = canonicalize_target(random_points(k, 5, rng))
             plan = plan_moves(c, t)
-            if plan.formed or not plan.moves:
+            if not plan.moves:
                 continue
             nxt = (set(c) - set(plan.moves)) | set(plan.moves.values())
             assert len(nxt) == k
@@ -538,9 +538,12 @@ class TestPlanPin:
         for c, t in pinned_cases(5000, 20260823):
             try:
                 p = plan_moves(c, t)
-                rec = (p.formed, p.phase, sorted(p.moves.items()),
-                       p.stuck_symmetric)
-                counts["stuck"] += p.stuck_symmetric
+                formed = p.phase == "DONE"
+                assert formed == (similar(c, t.points) is not None)
+                stuck = (not formed and not p.moves
+                         and len(canonical_frames(c)) > 1)
+                rec = (formed, p.phase, sorted(p.moves.items()), stuck)
+                counts["stuck"] += stuck
             except RuleViolation as exc:
                 rec = ("RuleViolation", str(exc))
                 counts["violation"] += 1
@@ -646,7 +649,7 @@ class TestMapBackMemo:
                 local = plan_or_violation(
                     reference_plan_moves, frame.apply_set(c), t)
                 got = plan_or_violation(
-                    lambda c, t: _plan({}, c, frame, t), c, t)
+                    lambda c, t: _plan(c, frame, t), c, t)
                 if local[0] == "RuleViolation":
                     assert got == local
                     continue

@@ -74,8 +74,9 @@ class TestConfigIO:
             parse_config("1 2 3\n")
 
     def test_non_integer_rejected(self):
-        with pytest.raises(CliError, match="non-integer"):
-            parse_config("1 two\n")
+        for text in ("1 two\n", "1_0 2\n", "\u0663 4\n"):
+            with pytest.raises(CliError, match="non-integer"):
+                parse_config(text)
 
     def test_empty_rejected(self):
         with pytest.raises(CliError, match="no points"):

@@ -213,7 +213,7 @@ def test_one_set_difference_matches_the_subset_forms():
                 continue
         cf = frozenset(cf)
         if k == 1:  # conditions need 2 robots; plan_moves never asks
-            assert plan_moves(cf, t).formed
+            assert plan_moves(cf, t).phase == "DONE"
         cf, t = lifted(cf, t)
         if k == 1:
             with pytest.raises(ValueError, match="at least 2 robots"):

@@ -213,7 +213,7 @@ class TestRuleViolation:
 class TestCollision:
     def test_move_onto_an_occupied_cell_is_a_collision(self, monkeypatch):
         def onto_neighbour(points, target):
-            return StepPlan(formed=False, phase="P1", moves={(0, 1): (0, 3)})
+            return StepPlan(phase="P1", moves={(0, 1): (0, 3)})
 
         monkeypatch.setattr(scheduler, "plan_moves", onto_neighbour)
         out = run(REF11, LINE_TARGET, make_adversary("round_robin", 44))
@@ -224,10 +224,17 @@ class TestCollision:
         assert out.trace[-1].pos_after == (0, 3)
 
 
-def fixed_plan(*plans):
-    """A ``plan_moves`` stand-in: ``plans[0]`` for REF11, ``plans[-1]`` for
-    any other configuration."""
-    return lambda points, target: plans[0] if points == REF11 else plans[-1]
+def fixed_plan(*plans, start=REF11):
+    """A ``plan_moves`` stand-in: ``plans[0]`` for ``start``, ``plans[-1]``
+    for any other configuration."""
+    return lambda points, target: plans[0] if points == start else plans[-1]
+
+
+# asymmetric; its stand-in steps it into the L-tromino, which has two frames
+BENT = frozenset({(0, 0), (1, 0), (0, 2)})
+BENT_TARGET = canonicalize_target({(0, 0), (1, 0), (2, 0)})
+TO_TROMINO = fixed_plan(StepPlan("P1", {(0, 2): (0, 1)}), StepPlan("P3", {}),
+                        start=BENT)
 
 
 class TestTermination:
@@ -235,16 +242,17 @@ class TestTermination:
 
     @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
     def test_always_stuck_ends_after_one_round(self, monkeypatch, kind):
-        stuck = StepPlan(False, "P3", {}, stuck_symmetric=True)
-        monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(stuck))
-        out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
+        """One step makes the swarm symmetric, and no one moves after it:
+        one round at the L-tromino ends the run, unformed and symmetric."""
+        monkeypatch.setattr(scheduler, "plan_moves", TO_TROMINO)
+        out = run(BENT, BENT_TARGET, make_adversary(kind, 12, seed=1))
         assert (out.kind, out.fault) == ("FAULT", "stuck-symmetric")
-        assert out.events_used == len(out.trace) == 2 * self.K
-        assert out.final == REF11
+        assert out.events_used == len(out.trace) == 4 * len(BENT)
+        assert out.final == {(0, 0), (1, 0), (0, 1)}
 
     @pytest.mark.parametrize("kind", sorted(scheduler.ADVERSARIES))
     def test_not_formed_with_no_moves_is_internal(self, monkeypatch, kind):
-        idle = StepPlan(False, "P1", {})
+        idle = StepPlan("P1", {})
         monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(idle))
         out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
         assert (out.kind, out.fault) == ("FAULT", "internal")
@@ -254,9 +262,9 @@ class TestTermination:
         """Round 1 ends on the configuration its last Looks refreshed; the
         verdict after round 2 must read that plan's flags, or an idle,
         unformed swarm would end as FORMED."""
-        first = StepPlan(False, "P1", {(0, 1): (0, 2)})
+        first = StepPlan("P1", {(0, 1): (0, 2)})
         monkeypatch.setattr(scheduler, "plan_moves",
-                            fixed_plan(first, StepPlan(False, "P1", {})))
+                            fixed_plan(first, StepPlan("P1", {})))
         out = run(REF11, LINE_TARGET, make_adversary("round_robin", 44))
         assert (out.kind, out.fault) == ("FAULT", "internal")
         assert out.events_used == 4 * self.K
@@ -273,7 +281,7 @@ class TestTermination:
         last = sorted(REF11)[-1]
         step = {last: (last[0] + 1, last[1])}
         monkeypatch.setattr(scheduler, "plan_moves", fixed_plan(
-            StepPlan(False, "P1", step), StepPlan(False, "P1", {})))
+            StepPlan("P1", step), StepPlan("P1", {})))
         out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=1))
         assert (out.kind, out.fault) == ("FAULT", "internal")
         assert out.events_used == 4 * self.K
@@ -337,18 +345,21 @@ def enabled_after_each_event(trace, k):
 
 def plans_expected(initial, out, frames):
     """What ``run`` must plan for ``out.trace``: each distinct
-    configuration seen at a Look, in global coordinates, or, for a
-    collinear one, its image in each distinct frame that Looked at it."""
+    configuration seen at a Look, in global coordinates, and, at each Look
+    of a collinear one, its image in that robot's frame."""
     cells = sorted(initial)
-    keys = set()
+    seen, plans = set(), Counter()
     for ev in out.trace:
         if ev.kind == LOOK:
             c = frozenset(cells)
-            keys.add((c, frames[ev.robot]) if collinear(c) else c)
+            if collinear(c):
+                plans[frames[ev.robot].apply_set(c)] += 1
+            elif c not in seen:
+                seen.add(c)
+                plans[c] += 1
         else:
             cells[ev.robot] = ev.pos_after
-    return Counter(key if isinstance(key, frozenset)
-                   else key[1].apply_set(key[0]) for key in keys)
+    return plans
 
 
 class TestPlanRefresh:
@@ -386,9 +397,9 @@ class TestPlanRefresh:
             assert out.kind == "FORMED"
             frames = make_adversary("max_stale", 12, seed).robot_frames(3)
             assert calls == plans_expected(start, out, frames), seed
-            # every robot Looks at the start in round 1: one plan per frame
+            # every robot Looks at the start in round 1: one plan per Look
             images = {f.apply_set(start) for f in frames}
-            assert sum(calls[i] for i in images) == len(set(frames)), seed
+            assert sum(calls[i] for i in images) == len(frames), seed
             split += len(images) >= 2
         assert split >= 4
 
@@ -476,7 +487,7 @@ class TestPlanLifetime:
 
         def back_and_forth(points, target):
             calls[points] += 1
-            return StepPlan(False, "P1", {a: b} if a in points else {b: a})
+            return StepPlan("P1", {a: b} if a in points else {b: a})
 
         monkeypatch.setattr(scheduler, "plan_moves", back_and_forth)
         out = run(REF11, LINE_TARGET, make_adversary(kind, 44, seed=2),
@@ -509,7 +520,7 @@ def replayed_cells(initial, out):
     return frozenset(cells)
 
 
-FIRST = StepPlan(False, "P1", {(0, 1): (0, 2)})
+FIRST = StepPlan("P1", {(0, 1): (0, 2)})
 
 
 def violation(points, target):
@@ -518,34 +529,35 @@ def violation(points, target):
     raise RuleViolation("no rule for this configuration")
 
 
-EXITS = [  # (kind, fault, plan_moves stand-in or None, max_events)
-    pytest.param("FORMED", None, None, 100_000, id="formed"),
+LINE = (REF11, LINE_TARGET)
+EXITS = [  # (kind, fault, plan_moves stand-in or None, max_events, start)
+    pytest.param("FORMED", None, None, 100_000, LINE, id="formed"),
     pytest.param("LIMIT_EXCEEDED", None, fixed_plan(
-        FIRST, StepPlan(False, "P1", {(0, 2): (0, 1)})), 50, id="limit"),
+        FIRST, StepPlan("P1", {(0, 2): (0, 1)})), 50, LINE, id="limit"),
     pytest.param("FAULT", "collision", fixed_plan(
-        FIRST, StepPlan(False, "P1", {(0, 2): (0, 3)})), 100_000,
+        FIRST, StepPlan("P1", {(0, 2): (0, 3)})), 100_000, LINE,
         id="collision"),
-    pytest.param("FAULT", "stuck-symmetric", fixed_plan(
-        FIRST, StepPlan(False, "P3", {}, stuck_symmetric=True)), 100_000,
-        id="stuck"),
+    pytest.param("FAULT", "stuck-symmetric", TO_TROMINO, 100_000,
+                 (BENT, BENT_TARGET), id="stuck"),
     pytest.param("FAULT", "internal", fixed_plan(
-        FIRST, StepPlan(False, "P1", {})), 100_000, id="internal-idle"),
-    pytest.param("FAULT", "internal", violation, 100_000,
+        FIRST, StepPlan("P1", {})), 100_000, LINE, id="internal-idle"),
+    pytest.param("FAULT", "internal", violation, 100_000, LINE,
                  id="internal-rule-violation"),
 ]
 
 
 @pytest.mark.parametrize("adversary", sorted(scheduler.ADVERSARIES))
-@pytest.mark.parametrize("kind, fault, stand_in, max_events", EXITS)
+@pytest.mark.parametrize("kind, fault, stand_in, max_events, start", EXITS)
 def test_final_is_the_replayed_configuration_on_every_exit(
-        monkeypatch, adversary, kind, fault, stand_in, max_events):
+        monkeypatch, adversary, kind, fault, stand_in, max_events, start):
     if stand_in is not None:
         monkeypatch.setattr(scheduler, "plan_moves", stand_in)
-    out = run(REF11, LINE_TARGET, make_adversary(adversary, 44, seed=5),
+    config, target = start
+    out = run(config, target, make_adversary(adversary, 44, seed=5),
               max_events=max_events)
     assert (out.kind, out.fault) == (kind, fault)
     assert type(out.final) is frozenset
-    assert out.final == replayed_cells(REF11, out)
+    assert out.final == replayed_cells(config, out)
 
 
 def test_empty_configuration_is_rejected():

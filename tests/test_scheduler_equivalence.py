@@ -39,7 +39,7 @@ def reference_run(initial, target, adversary, max_events=100_000):
     since = [None] * k
     index = 0
     while True:
-        moved, all_formed, any_stuck = False, True, False
+        moved, all_formed = False, True
         for rid, kind in adversary.next_batch(k, None):
             positions = frozenset(pos)
             if index >= max_events:
@@ -56,8 +56,7 @@ def reference_run(initial, target, adversary, max_events=100_000):
                 pending[rid] = (None if dest is None
                                 else frame.inverse().apply(dest))
                 since[rid] = index
-                all_formed = all_formed and plan.formed
-                any_stuck = any_stuck or plan.stuck_symmetric
+                all_formed = all_formed and plan.phase == "DONE"
                 trace.append(Event(index, rid, LOOK, pos[rid],
                                    phase=plan.phase))
             else:
@@ -76,7 +75,8 @@ def reference_run(initial, target, adversary, max_events=100_000):
             positions = frozenset(pos)
             if all_formed:
                 return Outcome("FORMED", trace, index, positions)
-            fault = "stuck-symmetric" if any_stuck else "internal"
+            fault = ("internal" if is_asymmetric(positions)
+                     else "stuck-symmetric")
             return Outcome("FAULT", trace, index, positions, fault=fault)
 
 

@@ -136,7 +136,7 @@ class TestReadTrace:
                      f'"from": {cells["from"]}, "to": {cells["to"]}, '
                      '"snapshot": 0}', f"'{field}' is not two ints")
 
-    @pytest.mark.parametrize("robot", ['"x"', "true", "0.0", "null"])
+    @pytest.mark.parametrize("robot", ['"x"', "true", "0.0", "null", "-3"])
     def test_robot_that_is_not_an_int(self, robot):
         self.rejects(f'{{"index": 1, "robot": {robot}, '
                      '"kind": "LOOK_COMPUTE", "from": [0, 0]}', "robot ")
@@ -150,7 +150,7 @@ class TestReadTrace:
         self.rejects(f'{{"index": {index}, "robot": 0, '
                      '"kind": "LOOK_COMPUTE", "from": [0, 0]}', ", not 1")
 
-    @pytest.mark.parametrize("phase", ['"P9"', "5", "[1]", '"done"'])
+    @pytest.mark.parametrize("phase", ['"P9"', "5", "[1]", '"done"', "null"])
     def test_unknown_phase(self, phase):
         self.rejects(f'{{"index": 1, "robot": 0, "kind": "LOOK_COMPUTE", '
                      f'"from": [0, 0], "phase": {phase}}}', "unknown phase ")
@@ -194,11 +194,13 @@ class TestReadTrace:
         ('"kind": "MOVE", "from": [0, 0], "snapshot": 0', "no field 'to'"),
         ('"kind": "MOVE", "from": [0, 0], "to": [0, 1], "snapshot": 0, '
          '"phase": "P1"', "MOVE with a 'phase' field"),
+        ('"kind": "LOOK_COMPUTE", "from": [0, 0], "foo": 1',
+         "LOOK_COMPUTE with a 'foo' field"),
     ], ids=["look with to", "look with snapshot", "move without to",
-            "move with phase"])
+            "move with phase", "unknown field"])
     def test_field_that_its_kind_never_writes(self, bad, detail):
-        """``write_trace`` gives a LOOK no destination or snapshot, and a
-        MOVE a destination but no phase."""
+        """``write_trace`` gives a LOOK no destination or snapshot, a MOVE
+        a destination but no phase, and neither any other field."""
         self.rejects(f'{{"index": 1, "robot": 0, {bad}}}', detail)
 
     def test_trace_the_verifiers_used_to_pass(self):
