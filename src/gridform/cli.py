@@ -208,13 +208,14 @@ def cmd_run(args) -> int:
         elapsed = time.perf_counter() - t0
         if args.trace:
             write_trace(outcome.trace, trace_out)
+    verdicts = _verdicts(outcome, target)
     report = {
         "outcome": outcome.kind,
         "fault": outcome.fault,
         "detail": outcome.detail,
         "events": outcome.events_used,
         "final": sorted(list(p) for p in outcome.final),
-        "verdicts": _verdicts(outcome, target),
+        "verdicts": verdicts,
         "adversary": args.adversary,
         "seed": args.seed,
         "wall_time_s": round(elapsed, 6),
@@ -223,7 +224,8 @@ def cmd_run(args) -> int:
     if args.render:  # the final configuration in canonical coordinates
         print(render_ascii(canonicalize_target(outcome.final).points,
                            targets=target.points))
-    return _OUTCOME_EXIT[outcome.kind]
+    return (_OUTCOME_EXIT[outcome.kind] if all(verdicts.values())
+            else EXIT_FAULT)
 
 
 def _dir_name(d: Point) -> str:
@@ -300,8 +302,7 @@ def cmd_fuzz(args) -> int:
         raise CliError(f"--box {args.box} has fewer than k = {k_max} cells")
     rng = random.Random(args.seed)
     kinds = tuple(scheduler.ADVERSARIES)
-    failures = []
-    results = []
+    failures, formed = [], 0
     for i in range(args.runs):
         k = rng.randint(k_min, k_max)
         try:
@@ -314,9 +315,8 @@ def cmd_fuzz(args) -> int:
         outcome = scheduler.run(config, target, adversary,
                                 max_events=args.max_events)
         checks = _verdicts(outcome, target)
-        ok = outcome.kind == "FORMED" and all(checks.values())
-        results.append(ok)
-        if not ok:
+        formed += outcome.kind == "FORMED"
+        if not (outcome.kind == "FORMED" and all(checks.values())):
             failures.append({
                 "run": i, "k": k, "adversary": kind,
                 "outcome": outcome.kind, "fault": outcome.fault,
@@ -326,7 +326,7 @@ def cmd_fuzz(args) -> int:
             })
     print(json.dumps({
         "runs": args.runs,
-        "formed": sum(results),
+        "formed": formed,
         "failures": failures,
     }, indent=2))
     return EXIT_OK if not failures else EXIT_FAULT

@@ -8,9 +8,9 @@ round adversaries give one round per batch: every robot Looks once and
 Moves once (Look first): any window of 4k events holds each robot's cycle.
 
 Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
-inline. A run keeps only the plan of the configuration the robots see now:
-the first Look after a real Move plans afresh; a collinear configuration
-is planned at each Look, in the Looking robot's frame.
+inline. A run keeps only the plan of the configuration the robots see now.
+The first Look after a real Move plans it once for all robots; a line, with
+no scanned side, is planned at each Look in the robot's frame (``_plan``).
 """
 
 from __future__ import annotations
@@ -41,10 +41,13 @@ class Event(NamedTuple):
 class Outcome(NamedTuple):
     kind: str  # FORMED | LIMIT_EXCEEDED | FAULT
     trace: list
-    events_used: int
     final: frozenset
     fault: Optional[str] = None  # collision | symmetric-input | stuck-symmetric | internal
     detail: Optional[str] = None  # the rule's message for a RuleViolation fault
+
+    @property
+    def events_used(self) -> int:
+        return len(self.trace)
 
 
 def _shuffle(rng: random.Random, x: list) -> None:
@@ -135,10 +138,7 @@ def make_adversary(kind: str, fairness_window: int, seed: int = 0) -> Adversary:
 
 
 def _plan(positions: frozenset, frame: Isometry, target: TargetPattern):
-    """The plan of ``positions``, in global coordinates. A collinear one,
-    whose Y-axis is a local fallback, is planned in the robot's own frame."""
-    if not collinear(positions):
-        return plan_moves(positions, target)
+    """The plan of the robot with local frame ``frame``, in global cells."""
     local = plan_moves(frame.apply_set(positions), target)
     inv = frame.inverse()
     return local._replace(moves={
@@ -149,10 +149,10 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         max_events: int = 100_000) -> Outcome:
     """Simulate until the pattern is formed, a fault occurs, or the event
     budget runs out. A robot is enabled if it holds a pending Move or
-    Looked before the last real Move (or never Looked). After a batch that
-    leaves none enabled the run is FORMED if the last plan is ``"DONE"``,
-    else ``stuck-symmetric`` in a symmetric configuration, else
-    ``internal``. An empty batch is a ``ValueError``, as is a Move by a
+    Looked before the last real Move (or never Looked). A batch that leaves
+    none enabled ends the run: FORMED if the last plan is ``"DONE"``, else
+    ``stuck-symmetric`` if symmetric, else ``internal``. ``events_used`` is
+    ``len(trace)``. An empty batch is a ``ValueError``, as is a Move by a
     robot that never Looked or whose last Look has had its Move."""
     initial = frozenset(initial)
     k = len(initial)
@@ -162,7 +162,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
         raise ValueError("fairness window smaller than one full round")
     trace: list[Event] = []
     if not is_asymmetric(initial):
-        return Outcome("FAULT", trace, 0, initial, fault="symmetric-input")
+        return Outcome("FAULT", trace, initial, fault="symmetric-input")
 
     frames = adversary.robot_frames(k)  # local = frame(global)
     pos = sorted(initial)
@@ -176,8 +176,7 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                 if look <= moved or pending[r] not in (None, spent)]
 
     positions = initial  # occupied, frozen when the plan was last refreshed
-    stale = True  # no plan yet, or a real Move since: the next Look plans
-    line = False  # positions is collinear: each Look plans in its frame
+    stale = True  # no plan yet, a real Move since, or positions is a line
     event = tuple.__new__  # (Event, all 7 fields): skips its Python __new__
     append = trace.append
     index = 0
@@ -187,20 +186,20 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
             raise ValueError("empty batch while robots are enabled")
         for rid, kind in batch:
             if index >= max_events:
-                return Outcome("LIMIT_EXCEEDED", trace, index,
-                               frozenset(occupied))
+                return Outcome("LIMIT_EXCEEDED", trace, frozenset(occupied))
             here = pos[rid]
             if kind == LOOK:
-                if stale or line:
-                    if stale:
-                        positions, stale = frozenset(occupied), False
-                        line = collinear(positions)
+                if stale:  # a line's plan is this robot's own: no sharing
+                    positions = frozenset(occupied)
+                    stale = collinear(positions)
                     try:
-                        plan = _plan(positions, frames[rid], target)
+                        phase, moves = (
+                            _plan(positions, frames[rid], target) if stale
+                            else plan_moves(positions, target))
                     except RuleViolation as exc:
-                        return Outcome("FAULT", trace, index, positions,
+                        return Outcome("FAULT", trace, positions,
                                        fault="internal", detail=str(exc))
-                    decide, phase = plan.moves.get, plan.phase
+                    decide = moves.get
                 pending[rid] = decide(here)
                 since[rid] = index
                 append(event(Event, (index, rid, LOOK, here, None, phase,
@@ -216,15 +215,15 @@ def run(initial: Iterable[Point], target: TargetPattern, adversary: Adversary,
                             "before any Look" if since[rid] < 0
                             else "twice on one Look"))
                     if dest != here and dest in occupied:
-                        return Outcome("FAULT", trace, index + 1,
-                                       frozenset(occupied), fault="collision")
+                        return Outcome("FAULT", trace, frozenset(occupied),
+                                       fault="collision")
                     occupied.remove(here)
                     occupied.add(dest)
                     pos[rid] = dest
                     moved, stale = index, True
             index += 1
         if moved < min(since) and not enabled():
-            if plan.phase == "DONE":
-                return Outcome("FORMED", trace, index, positions)
-            return Outcome("FAULT", trace, index, positions, fault=(
+            if phase == "DONE":
+                return Outcome("FORMED", trace, positions)
+            return Outcome("FAULT", trace, positions, fault=(
                 "internal" if is_asymmetric(positions) else "stuck-symmetric"))

@@ -17,8 +17,8 @@ from gridform.algorithm import (
     snake_cell,
     snake_index,
 )
-from gridform.canonical import (_box_scans, canonical_frames, holds,
-                                is_asymmetric)
+from gridform.canonical import (_box_scans, canonical_frames, collinear,
+                                holds, is_asymmetric)
 from gridform.conditions import (ConditionVector, evaluate_conditions,
                                  target_key)
 from gridform.geometry import (LINEAR_CLASSES, Isometry, bounding_rect,
@@ -636,7 +636,8 @@ class TestMapBackMemo:
 
     def test_scheduler_per_frame_plans_of_collinear_configurations(self):
         """A collinear configuration is planned in each robot's own frame
-        and mapped back by the scheduler."""
+        and mapped back by the scheduler. Any other has the same plan in
+        every frame, so ``run`` shares the one ``plan_moves`` gives."""
         rng = random.Random(20261019)
         moved = 0
         for i in range(120):
@@ -658,6 +659,18 @@ class TestMapBackMemo:
                     inv.apply(s): inv.apply(d) for s, d in local.moves.items()})
                 moved += bool(got.moves)
         assert moved > 100
+        counts = dict.fromkeys(("multi_frame", "violation"), 0)
+        for i, (c, t) in enumerate(pinned_cases(300, 20261019)):
+            if collinear(c):
+                continue
+            want = plan_or_violation(plan_moves, c, t)
+            for lin in LINEAR_CLASSES:
+                g = lin._replace(tx=self.FAR[i % 5], ty=-self.FAR[i // 5 % 5])
+                assert plan_or_violation(
+                    lambda c, t: _plan(c, g, t), c, t) == want
+            counts["multi_frame"] += len(canonical_frames(c)) > 1
+            counts["violation"] += want[0] == "RuleViolation"
+        assert min(counts.values()) > 0, counts
 
     def test_caches_stay_within_their_bounds(self):
         """After plans over more than 200 distinct frames, each cache holds

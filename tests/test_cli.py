@@ -24,7 +24,7 @@ from gridform.cli import (
     render_ascii,
     write_trace,
 )
-from gridform import scheduler
+from gridform import scheduler, verify
 from gridform.algorithm import RuleViolation
 from gridform.scheduler import make_adversary, run
 from gridform.target import canonicalize_target
@@ -38,6 +38,16 @@ def broken_rule(monkeypatch):
         raise RuleViolation("cell below the head is occupied")
 
     monkeypatch.setattr(scheduler, "plan_moves", broken)
+
+
+@pytest.fixture
+def broken_verifier(monkeypatch):
+    def broken(trace):
+        v = verify.Verdict()
+        v.flag(0, "edge", "a transition the diagram lacks")
+        return v
+
+    monkeypatch.setattr(verify, "check_phase_transitions", broken)
 
 
 @pytest.fixture
@@ -215,6 +225,15 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["fault"] == "internal"
         assert report["detail"] == "cell below the head is occupied"
+
+    def test_failed_verdict_exit_three(self, ref11_file, line_file,
+                                       broken_verifier, capsys):
+        rc = main(["run", "--config", ref11_file, "--target", line_file,
+                   "--adversary", "round_robin"])
+        assert rc == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "FORMED"
+        assert report["verdicts"]["phase_transitions"] is False
 
     def test_every_adversary_name_is_accepted(self, ref11_file, line_file,
                                               capsys):
@@ -417,6 +436,17 @@ class TestFuzzCommand:
         assert [f["run"] for f in report["failures"]] == [0, 1, 2]
         assert {f["detail"] for f in report["failures"]} == {
             "cell below the head is occupied"}
+
+    def test_formed_counts_runs_that_fail_a_verdict(self, broken_verifier,
+                                                    capsys):
+        rc = main(["fuzz", "--runs", "3", "--k-range", "3..4", "--box", "6"])
+        assert rc == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["formed"] == 3
+        assert [f["run"] for f in report["failures"]] == [0, 1, 2]
+        assert {f["outcome"] for f in report["failures"]} == {"FORMED"}
+        assert {f["verdicts"]["phase_transitions"]
+                for f in report["failures"]} == {False}
 
     def test_bad_range_usage_error(self, capsys):
         for k_range in ["oops", "3..", "3..4..5", "3-5"]:

@@ -116,6 +116,12 @@ class TestRun:
         out = run(REF11, LINE_TARGET, make_adversary("max_stale", 44, seed=7))
         assert out.kind == "FORMED"
 
+    def test_outcome_reads_its_event_count_off_the_trace(self):
+        assert scheduler.Outcome._fields == (
+            "kind", "trace", "final", "fault", "detail")
+        out = run(REF11, LINE_TARGET, make_adversary("random", 44, seed=7))
+        assert out.events_used == len(out.trace) > 0
+
     def test_already_formed_halts_in_one_round(self):
         out = run(REF11, canonicalize_target(REF11),
                   make_adversary("round_robin", 44))
@@ -402,6 +408,30 @@ class TestPlanRefresh:
             assert sum(calls[i] for i in images) == len(frames), seed
             split += len(images) >= 2
         assert split >= 4
+
+    def test_one_collinear_scan_per_plan(self, calls, monkeypatch):
+        """Only ``run`` asks whether a configuration is a line, once at
+        each plan refresh, and each refresh plans once."""
+        scans = Counter()
+
+        def counting(points):
+            scans[collinear(points)] += 1
+            return collinear(points)
+
+        monkeypatch.setattr(scheduler, "collinear", counting)
+        rng = random.Random(4)
+        starts = [({(0, 0), (1, 0), (3, 0)}, {(0, 0), (2, 0), (0, 1)})] * 3
+        for _ in range(6):
+            k = rng.randint(3, 9)
+            starts.append((random_asymmetric_config(k, 7, rng),
+                           random_points(k, 7, rng)))
+        for i, (config, target) in enumerate(starts):
+            kind = ("random", "round_robin", "max_stale")[i % 3]
+            out = run(config, canonicalize_target(target),
+                      make_adversary(kind, 4 * len(config), i))
+            assert out.kind == "FORMED"
+        assert scans[True] > 0 and scans[False] > 0
+        assert sum(scans.values()) == sum(calls.values())
 
 
 class ScriptedAdversary(Adversary):

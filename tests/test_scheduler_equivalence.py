@@ -32,7 +32,7 @@ def reference_run(initial, target, adversary, max_events=100_000):
     k = len(initial)
     trace = []
     if k >= 2 and not is_asymmetric(initial):
-        return Outcome("FAULT", trace, 0, initial, fault="symmetric-input")
+        return Outcome("FAULT", trace, initial, fault="symmetric-input")
     frames = adversary.robot_frames(k)
     pos = sorted(initial)
     pending = [None] * k
@@ -43,14 +43,14 @@ def reference_run(initial, target, adversary, max_events=100_000):
         for rid, kind in adversary.next_batch(k, None):
             positions = frozenset(pos)
             if index >= max_events:
-                return Outcome("LIMIT_EXCEEDED", trace, index, positions)
+                return Outcome("LIMIT_EXCEEDED", trace, positions)
             if kind == LOOK:
                 frame = frames[rid]
                 here = frame.apply(pos[rid])
                 try:
                     plan = plan_moves(frame.apply_set(positions), target)
                 except RuleViolation as exc:
-                    return Outcome("FAULT", trace, index, positions,
+                    return Outcome("FAULT", trace, positions,
                                    fault="internal", detail=str(exc))
                 dest = plan.moves.get(here)
                 pending[rid] = (None if dest is None
@@ -66,7 +66,7 @@ def reference_run(initial, target, adversary, max_events=100_000):
                                    snapshot_index=since[rid]))
                 if dest is not None:
                     if dest in positions - {pos[rid]}:
-                        return Outcome("FAULT", trace, index + 1, positions,
+                        return Outcome("FAULT", trace, positions,
                                        fault="collision")
                     pos[rid] = dest
                     moved = True
@@ -74,10 +74,10 @@ def reference_run(initial, target, adversary, max_events=100_000):
         if not moved:
             positions = frozenset(pos)
             if all_formed:
-                return Outcome("FORMED", trace, index, positions)
+                return Outcome("FORMED", trace, positions)
             fault = ("internal" if is_asymmetric(positions)
                      else "stuck-symmetric")
-            return Outcome("FAULT", trace, index, positions, fault=fault)
+            return Outcome("FAULT", trace, positions, fault=fault)
 
 
 def assert_same_run(config, target, kind, seed):
@@ -125,10 +125,11 @@ def test_run_matches_per_frame_reference_on_seeded_runs():
     assert kinds == set(ADVERSARIES)
 
 
-@pytest.mark.parametrize("kind", ["random", "max_stale"])
+@pytest.mark.parametrize("kind", ADVERSARIES)
 def test_run_matches_reference_from_collinear_starts(kind):
     collinear = 0
-    for line, target, rng in line_starts({"random": 3, "max_stale": 4}[kind]):
+    seed = {"random": 3, "round_robin": 5, "max_stale": 4}[kind]
+    for line, target, rng in line_starts(seed):
         assert is_asymmetric(line)
         for _ in range(3):
             out = assert_same_run(line, target, kind, rng.randrange(2**32))
