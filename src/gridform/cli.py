@@ -201,13 +201,16 @@ def cmd_run(args) -> int:
         trace_out = open(args.trace, "w") if args.trace else nullcontext()
     except OSError as exc:
         raise CliError(str(exc)) from None
-    with trace_out:
-        t0 = time.perf_counter()
-        outcome = scheduler.run(config, target, adversary,
-                                max_events=args.max_events)
-        elapsed = time.perf_counter() - t0
-        if args.trace:
-            write_trace(outcome.trace, trace_out)
+    try:  # a full disk fails as the file is written or closed
+        with trace_out:
+            t0 = time.perf_counter()
+            outcome = scheduler.run(config, target, adversary,
+                                    max_events=args.max_events)
+            elapsed = time.perf_counter() - t0
+            if args.trace:
+                write_trace(outcome.trace, trace_out)
+    except OSError as exc:
+        raise CliError(str(exc)) from None
     verdicts = _verdicts(outcome, target)
     report = {
         "outcome": outcome.kind,
@@ -262,28 +265,25 @@ def cmd_analyze(args) -> int:
               f"x_dir {_dir_name((f.a, f.b))} y_dir "
               f"{'UNDETERMINED' if line else _dir_name((f.c, f.d))}")
     key, short_len = to_frame_coords(config, frames), frames.spec[3]
+    head = tail = None  # one robot has neither
     if len(config) >= 2:  # the first and last robot in scan order
         head, tail = map(frames[0].inverse().apply,
                          decode((key[0], key[-1]), short_len))
         print(f"head: {head}")
         print(f"tail: {tail}")
-    if target:
-        if len(config) == 1:
-            print("phase: DONE")  # one robot is always formed
-        elif len(frames) == 1:
-            cv = evaluate_conditions(key, short_len, target)
-            for i in range(8):
-                print(f"C{i}: {cv[i]}")
-            c_prime = decode(key[:-1], short_len)
-            print(f"C8: {has_horizontal_reflection(c_prime)}")
-            print(f"m={cv.m} n={cv.n} M={target.M} N={target.N} "
-                  f"H={cv.H} V={cv.V}")
-            print(f"phase: {classify_phase(cv)}")
-        else:
-            print("phase: n/a (symmetric configuration)")
+    if target and head is None:
+        print("phase: DONE")  # one robot is always formed
+    elif target:  # every canonical frame reads this one key
+        cv = evaluate_conditions(key, short_len, target)
+        for i in range(8):
+            print(f"C{i}: {cv[i]}")
+        c_prime = decode(key[:-1], short_len)
+        print(f"C8: {has_horizontal_reflection(c_prime)}")
+        print(f"m={cv.m} n={cv.n} M={target.M} N={target.N} "
+              f"H={cv.H} V={cv.V}")
+        print(f"phase: {classify_phase(cv)}")
     if args.render:
-        h, t = (head, tail) if len(config) >= 2 else (None, None)
-        print(render_ascii(config, head=h, tail=t))
+        print(render_ascii(config, head=head, tail=tail))
     return EXIT_OK
 
 

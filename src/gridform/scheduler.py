@@ -7,10 +7,11 @@ last is used up, until a batch leaves no robot enabled (see ``run``). The
 round adversaries give one round per batch: every robot Looks once and
 Moves once (Look first): any window of 4k events holds each robot's cycle.
 
-Adversaries shuffle with ``_shuffle``: the draws of ``Random.shuffle``,
-inline. A run keeps only the plan of the configuration the robots see now.
-The first Look after a real Move plans it once for all robots; a line, with
-no scanned side, is planned at each Look in the robot's frame (``_plan``).
+Every adversary draws each robot's frame from its RNG (no global axes) and
+shuffles with ``_shuffle``: the draws of ``Random.shuffle``, inline. A run
+keeps only the plan of the configuration the robots see now. The first Look
+after a real Move plans it once for all robots; a line, with no scanned
+side, is planned at each Look in the robot's frame (``_plan``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .algorithm import RuleViolation, plan_moves
 from .canonical import collinear, is_asymmetric
-from .geometry import LINEAR_CLASSES, IDENTITY, Isometry, Point
+from .geometry import LINEAR_CLASSES, Isometry, Point
 from .target import TargetPattern
 
 LOOK = "LOOK_COMPUTE"
@@ -86,10 +87,7 @@ class Adversary:
 
 class RoundRobinAdversary(Adversary):
     """Sequential: L0 M0 L1 M1 ... each round, each robot Looking and
-    Moving back to back, in the global axes."""
-
-    def robot_frames(self, k):
-        return [IDENTITY] * k
+    Moving back to back."""
 
     def next_batch(self, k, enabled):
         return [event for pair in zip(*_events(k)) for event in pair]

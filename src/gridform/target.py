@@ -32,19 +32,14 @@ class TargetPattern(NamedTuple):
 def canonicalize_target(raw: Iterable[Point]) -> TargetPattern:
     """Transform an arbitrary pattern into the canonical coordinate system.
 
-    Symmetric patterns have several maximal corner strings; every one of
-    them must yield the same canonical point set, which is asserted here.
+    A symmetric pattern has several maximal corner strings, all equal, so
+    every one of them decodes to the same point set.
     """
     raw = frozenset(raw)
     frames = canonical_frames(raw)
     M = frames.spec[3]  # the short side, scanned along y
     order = decode(to_frame_coords(raw, frames), M)
     points = frozenset(order)
-    for f in frames[1:]:
-        if f.apply_set(raw) != points:
-            raise AssertionError(
-                "maximal corner strings disagree on the canonical point set"
-            )
     # the frame puts the rectangle at [0, N-1] x [0, M-1], the tail last
     h, t = order[0], order[-1]
     return TargetPattern(points, M=M, N=t[0] + 1, h_target=h, t_target=t)

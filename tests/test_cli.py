@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -25,7 +26,9 @@ from gridform.cli import (
     write_trace,
 )
 from gridform import scheduler, verify
-from gridform.algorithm import RuleViolation
+from gridform.algorithm import RuleViolation, plan_moves
+from gridform.canonical import canonical_frames
+from gridform.sampling import random_points
 from gridform.scheduler import make_adversary, run
 from gridform.target import canonicalize_target
 
@@ -285,6 +288,18 @@ class TestRunCommand:
         assert "error:" in captured.err and "no-such-dir" in captured.err
 
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_trace_write_error_usage_error(self, ref11_file, line_file,
+                                           capsys):
+        rc = main(["run", "--config", ref11_file, "--target", line_file,
+                   "--trace", "/dev/full"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the report follows the trace
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+
+
 class TestAnalyzeCommand:
     def test_ref11_report(self, ref11_file, line_file, capsys):
         rc = main(["analyze", "--config", ref11_file, "--target", line_file])
@@ -302,7 +317,11 @@ class TestAnalyzeCommand:
         # phase 3 whose C' = {(0,0), (0,1), (0,2)} is mirrored about y = 1
         ({(0, 0), (0, 1), (0, 2), (5, 0)}, {(0, 0), (0, 1), (1, 0), (2, 1)},
          "FFFTTTFFT", "m=3 n=6 M=2 N=3 H=1 V=3", "P3"),
-    ], ids=["ref11-line11", "p3-reflected"])
+        # two canonical frames, read off their one key as plan_moves reads it
+        ({(0, 1), (2, 0), (2, 1), (2, 2), (3, 1)},
+         {(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)},
+         "FFFFFFFFT", "m=3 n=4 M=3 N=3 H=2 V=3", "P1"),
+    ], ids=["ref11-line11", "p3-reflected", "p1-symmetric"])
     def test_condition_lines_are_pinned(self, tmp_path, capsys, config,
                                         target, bits, sizes, phase):
         config_path, target_path = tmp_path / "c.txt", tmp_path / "t.txt"
@@ -322,8 +341,7 @@ class TestAnalyzeCommand:
         assert "symmetric (duplicate strings" in capsys.readouterr().out
 
     def test_single_robot_is_formed(self, tmp_path, capsys):
-        """One robot is asymmetric and always formed; only symmetric
-        configurations print the n/a phase."""
+        """One robot is asymmetric and always formed."""
         config_path, target_path = tmp_path / "one.txt", tmp_path / "t.txt"
         config_path.write_text("3 -2\n")
         target_path.write_text("0 5\n")
@@ -336,15 +354,42 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("points", [
         "0 0\n1 0\n", "0 0\n2 0\n2 2\n0 2\n"], ids=["pair", "square"])
-    def test_symmetric_phase_is_not_applicable(self, tmp_path, capsys,
-                                               points):
+    def test_symmetric_self_target_is_done(self, tmp_path, capsys, points):
+        """A configuration with several frames is read off its one key."""
         config_path, target_path = tmp_path / "c.txt", tmp_path / "t.txt"
         config_path.write_text(points)
         target_path.write_text(points)
         assert main(["analyze", "--config", str(config_path),
                      "--target", str(target_path)]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert out[-1] == "phase: n/a (symmetric configuration)"
+        assert "C0: True" in out
+        assert out[-1] == "phase: DONE"
+
+    def test_phase_agrees_with_the_planner_on_several_frames(self, tmp_path,
+                                                             capsys):
+        config_path, target_path = tmp_path / "c.txt", tmp_path / "t.txt"
+        rng = random.Random(20261021)
+        cases = moved = 0
+        while cases < 200:
+            k = rng.randint(4, 7)
+            config = random_points(k, 4, rng)
+            if len(canonical_frames(config)) < 2:
+                continue
+            target = canonicalize_target(random_points(k, 4, rng))
+            try:
+                plan = plan_moves(config, target)
+            except RuleViolation:
+                continue
+            config_path.write_text(format_config(config))
+            target_path.write_text(format_config(target.points))
+            assert main(["analyze", "--config", str(config_path),
+                         "--target", str(target_path)]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert [line for line in out if line.startswith("phase:")] == [
+                f"phase: {plan.phase}"], (config, target.points)
+            cases += 1
+            moved += bool(plan.moves)
+        assert moved > 0
 
     def test_missing_file(self, capsys):
         rc = main(["analyze", "--config", "/nonexistent/x.txt"])

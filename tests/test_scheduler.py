@@ -1,13 +1,13 @@
 import random
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from gridform import scheduler
+from gridform import scheduler, verify
 from gridform.algorithm import RuleViolation, StepPlan, plan_moves
 from gridform.canonical import collinear
-from gridform.geometry import IDENTITY
 from gridform.sampling import random_asymmetric_config, random_points
 from gridform.scheduler import (
     LOOK,
@@ -47,7 +47,8 @@ class TestAdversaries:
         assert adv.next_batch(3, None) == [
             (0, LOOK), (0, MOVE), (1, LOOK), (1, MOVE), (2, LOOK), (2, MOVE),
         ]
-        assert adv.robot_frames(3) == [IDENTITY] * 3
+        # no robot sees the global axes: the frames are random's draws
+        assert adv.robot_frames(3) == RandomAdversary(8).robot_frames(3)
 
     def test_max_stale_order(self):
         order = MaxStaleAdversary(8, seed=5).next_batch(4, None)
@@ -71,9 +72,11 @@ class TestAdversaries:
         frames = RandomAdversary(8, seed=1).robot_frames(50)
         assert {(f.tx, f.ty) for f in frames} == {(0, 0)}
         assert len(set(frames)) > 1
-        # the same draw for every adversary that does not override it
+        # the same draw for every adversary: none overrides it
         assert MaxStaleAdversary(8, seed=1).robot_frames(50) == frames
-        assert RoundRobinAdversary(8, seed=1).robot_frames(3) == [IDENTITY] * 3
+        assert RoundRobinAdversary(8, seed=1).robot_frames(50) == frames
+        assert not any("robot_frames" in vars(cls)
+                       for cls in scheduler.ADVERSARIES.values())
 
 
 class TestDraws:
@@ -432,6 +435,57 @@ class TestPlanRefresh:
             assert out.kind == "FORMED"
         assert scans[True] > 0 and scans[False] > 0
         assert sum(scans.values()) == sum(calls.values())
+
+
+def asymmetric_rows(width, ks):
+    """Every asymmetric k-subset of a 1 x ``width`` row that holds its
+    first cell, once up to reversal."""
+    rows = []
+    for k in ks:
+        for rest in combinations(range(1, width), k - 1):
+            xs = (0, *rest)
+            mirror = tuple(sorted(xs[-1] - x for x in xs))
+            if mirror != xs and mirror not in rows:
+                rows.append(xs)
+    return [frozenset((x, 0) for x in xs) for xs in rows]
+
+
+def box_targets(side, k):
+    """Every k-point target in a side x side box, once up to isometry."""
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    found = {canonicalize_target(c) for c in combinations(cells, k)}
+    return sorted(found, key=lambda t: sorted(t.points))
+
+
+class TestLineStarts:
+    def test_every_line_start_forms_under_every_adversary(self, monkeypatch):
+        """A line has no scanned side, so each robot plans it in its own
+        frame: every adversary must reach those plans, and form."""
+        plans = Counter()
+        plan = scheduler._plan
+
+        def counting(positions, frame, target):
+            plans[kind] += 1
+            return plan(positions, frame, target)
+
+        monkeypatch.setattr(scheduler, "_plan", counting)
+        starts = asymmetric_rows(7, (3, 4, 5))
+        targets = {k: box_targets(3, k) for k in (3, 4, 5)}
+        assert Counter(map(len, starts)) == {3: 6, 4: 7, 5: 6}
+        assert [len(targets[k]) for k in (3, 4, 5)] == [10, 20, 21]
+        runs = 0
+        for kind in scheduler.ADVERSARIES:
+            for start in starts:
+                k = len(start)
+                for target in targets[k]:
+                    out = run(start, target, make_adversary(kind, 4 * k, 1))
+                    assert out.kind == "FORMED", (kind, start, target)
+                    assert verify.check_collision_free(out.trace).passed
+                    assert verify.check_phase_transitions(out.trace).passed
+                    assert verify.check_formed(out.final, target).passed
+                    runs += 1
+        assert runs == 978
+        assert all(plans[kind] > 0 for kind in scheduler.ADVERSARIES)
 
 
 class ScriptedAdversary(Adversary):
