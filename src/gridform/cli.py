@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -75,14 +76,10 @@ def load_config(path: str) -> frozenset:
 def write_trace(trace: Iterable[scheduler.Event], out: TextIO):
     for ev in trace:
         rec = {"index": ev.index, "robot": ev.robot, "kind": ev.kind,
-               "from": list(ev.pos_before)}
-        if ev.pos_after is not None:
-            rec["to"] = list(ev.pos_after)
-        if ev.phase is not None:
-            rec["phase"] = ev.phase
-        if ev.snapshot_index is not None:
-            rec["snapshot"] = ev.snapshot_index
-        out.write(json.dumps(rec) + "\n")
+               "from": ev.pos_before, "to": ev.pos_after, "phase": ev.phase,
+               "snapshot": ev.snapshot_index}
+        out.write(json.dumps({k: v for k, v in rec.items() if v is not None})
+                  + "\n")
 
 
 def _cell(rec: dict, field: str) -> Point:
@@ -149,23 +146,11 @@ def render_ascii(points: frozenset, head: Optional[Point] = None,
     area = (x1 - x0 + 1) * (y1 - y0 + 1)
     if area > MAX_CELLS:
         return f"picture not shown: {area} cells, over {MAX_CELLS}"
-    rows = []
-    for y in range(y1, y0 - 1, -1):
-        row = []
-        for x in range(x0, x1 + 1):
-            p = (x, y)
-            if p == head:
-                row.append("H")
-            elif p == tail:
-                row.append("T")
-            elif p in points:
-                row.append("R")
-            elif targets and p in targets:
-                row.append("x")
-            else:
-                row.append("·")
-        rows.append(" ".join(row))
-    return "\n".join(rows)
+    marks = {**dict.fromkeys(targets or (), "x"), **dict.fromkeys(points, "R"),
+             tail: "T", head: "H"}  # a later mark wins; None is never read
+    return "\n".join(" ".join(marks.get((x, y), "·")
+                              for x in range(x0, x1 + 1))
+                     for y in range(y1, y0 - 1, -1))
 
 
 def _verdicts(outcome: scheduler.Outcome, target) -> dict:
@@ -197,18 +182,14 @@ def cmd_run(args) -> int:
     target = _load_target(args.target, len(config))
     adversary = scheduler.make_adversary(args.adversary, 4 * len(config),
                                          args.seed)
-    try:  # a bad path fails before the simulation, not after it
-        trace_out = open(args.trace, "w") if args.trace else nullcontext()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-    try:  # a full disk fails as the file is written or closed
-        with trace_out:
+    try:  # a bad path fails before the simulation, a full disk after it
+        with open(args.trace, "w") if args.trace else nullcontext() as out:
             t0 = time.perf_counter()
             outcome = scheduler.run(config, target, adversary,
                                     max_events=args.max_events)
             elapsed = time.perf_counter() - t0
             if args.trace:
-                write_trace(outcome.trace, trace_out)
+                write_trace(outcome.trace, out)
     except OSError as exc:
         raise CliError(str(exc)) from None
     verdicts = _verdicts(outcome, target)
@@ -231,9 +212,7 @@ def cmd_run(args) -> int:
             else EXIT_FAULT)
 
 
-def _dir_name(d: Point) -> str:
-    names = {(1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y"}
-    return names.get(d, str(d))
+_DIR_NAMES = {(1, 0): "+x", (-1, 0): "-x", (0, 1): "+y", (0, -1): "-y"}
 
 
 def cmd_analyze(args) -> int:
@@ -244,26 +223,20 @@ def cmd_analyze(args) -> int:
     strings = corner_strings(config) if area <= MAX_CELLS else []
     print(f"points: {len(config)}")
     for (corner, x_row, y_row, short_len), bits in strings:
-        short = _dir_name(y_row) if short_len > 1 else "?"
-        print(f"corner {corner} short {short} long {_dir_name(x_row)}: {bits}")
-    bits = [b for _, b in strings]
-    if bits:
-        print(f"maximal string: {max(bits)}")
+        short = _DIR_NAMES[y_row] if short_len > 1 else "?"
+        print(f"corner {corner} short {short} long {_DIR_NAMES[x_row]}: {bits}")
+    if strings:
+        print(f"maximal string: {max(bits for _, bits in strings)}")
     else:
         print(f"corner strings not shown: {area} cells, over {MAX_CELLS}")
     frames = canonical_frames(config)
-    if len(frames) == 1:
-        print("asymmetric: yes")
-    elif not bits:
-        print(f"symmetric ({len(frames)} maximal strings)")
-    else:
-        dupes = sorted({b for b in bits if bits.count(b) > 1})
-        print(f"symmetric (duplicate strings: {', '.join(dupes)})")
+    print("asymmetric: yes" if len(frames) == 1
+          else f"symmetric ({len(frames)} maximal strings)")
     line = collinear(config)
     for f in frames:
         print(f"frame: origin {f.inverse().apply((0, 0))} "
-              f"x_dir {_dir_name((f.a, f.b))} y_dir "
-              f"{'UNDETERMINED' if line else _dir_name((f.c, f.d))}")
+              f"x_dir {_DIR_NAMES[f.a, f.b]} y_dir "
+              f"{'UNDETERMINED' if line else _DIR_NAMES[f.c, f.d]}")
     key, short_len = to_frame_coords(config, frames), frames.spec[3]
     head = tail = None  # one robot has neither
     if len(config) >= 2:  # the first and last robot in scan order
@@ -376,9 +349,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout:  # None if fd 1 was closed: print writes nothing
+            sys.stdout.flush()  # a full or broken stdout fails here
+        return status
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # the report could not be written
+        with open(os.devnull, "w") as null:  # so the flush at exit passes
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -53,8 +53,6 @@ LINEAR_CLASSES = (
     Isometry(1, 0, 0, -1), Isometry(0, 1, 1, 0),
 )
 
-IDENTITY = LINEAR_CLASSES[0]
-
 
 def bounding_rect(c: Iterable[Point]) -> tuple:
     """The smallest grid-aligned box holding all points of ``c``, as its
@@ -78,7 +76,7 @@ def similar(a: Iterable[Point], b: Iterable[Point]) -> Optional[Isometry]:
     if len(a) != len(b):
         return None
     if not a:
-        return IDENTITY
+        return LINEAR_CLASSES[0]
     x0, y0, x1, y1 = bounding_rect(a)
     bx, by, _, _ = bounding_rect(b)
     for lin in LINEAR_CLASSES:

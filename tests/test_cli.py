@@ -117,12 +117,38 @@ class TestTraceIO:
             rec = json.loads(line)
             assert {"index", "robot", "kind", "from"} <= set(rec)
 
+    def test_exact_lines(self):
+        """Key order, cells as arrays, and no key for a field that is None:
+        a symmetric stop's LOOK has no phase."""
+        buf = io.StringIO()
+        out = run(REF11, canonicalize_target(LINE11),
+                  make_adversary("round_robin", 44), max_events=4)
+        write_trace(out.trace, buf)
+        write_trace([scheduler.Event(0, 2, scheduler.LOOK, (3, -1))], buf)
+        assert buf.getvalue().splitlines() == [
+            '{"index": 0, "robot": 0, "kind": "LOOK_COMPUTE", "from": [0, 1], '
+            '"phase": "P1"}',
+            '{"index": 1, "robot": 0, "kind": "MOVE", "from": [0, 1], '
+            '"to": [0, 1], "snapshot": 0}',
+            '{"index": 2, "robot": 1, "kind": "LOOK_COMPUTE", "from": [0, 3], '
+            '"phase": "P1"}',
+            '{"index": 3, "robot": 1, "kind": "MOVE", "from": [0, 3], '
+            '"to": [0, 3], "snapshot": 2}',
+            '{"index": 0, "robot": 2, "kind": "LOOK_COMPUTE", "from": [3, -1]}',
+        ]
+
 
 class TestRenderAscii:
-    def test_tiny_grid(self):
-        art = render_ascii(frozenset({(0, 0), (1, 1)}),
-                           head=(0, 0), tail=(1, 1))
-        assert art == "· T\nH ·"
+    @pytest.mark.parametrize("points, head, tail, targets, art", [
+        ({(0, 0), (1, 1)}, (0, 0), (1, 1), None, "· T\nH ·"),
+        ({(0, 0), (1, 1)}, (0, 0), (0, 0), None, "· R\nH ·"),
+        ({(0, 0)}, None, None, {(0, 0), (1, 0)}, "R x"),
+        ({(0, 0), (1, 0)}, (0, 0), None, {(0, 0), (0, 1)}, "x ·\nH R"),
+    ], ids=["distinct", "head-over-tail", "robot-over-target",
+            "head-over-target"])
+    def test_tiny_grid(self, points, head, tail, targets, art):
+        assert render_ascii(frozenset(points), head=head, tail=tail,
+                            targets=targets and frozenset(targets)) == art
 
     def test_targets_marked(self):
         art = render_ascii(frozenset({(0, 0)}), targets=frozenset({(1, 0)}))
@@ -338,7 +364,8 @@ class TestAnalyzeCommand:
         path.write_text("0 0\n1 0\n")
         rc = main(["analyze", "--config", str(path)])
         assert rc == EXIT_OK
-        assert "symmetric (duplicate strings" in capsys.readouterr().out
+        assert "symmetric (2 maximal strings)" in \
+            capsys.readouterr().out.splitlines()
 
     def test_single_robot_is_formed(self, tmp_path, capsys):
         """One robot is asymmetric and always formed."""
@@ -567,16 +594,21 @@ class TestReadmeExamples:
 
 class TestExitStatus:
     """The documented statuses as a shell sees them, through the module's
-    ``__main__`` guard: 0 formed, 1 usage, 2 limit."""
+    ``__main__`` guard: 0 formed, 1 usage or a report that cannot be
+    written, 2 limit."""
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def gridform(self, *argv):
+    def gridform(self, *argv, stdout=subprocess.PIPE, unbuffered=False,
+                 **popen):
         path = os.pathsep.join(filter(None, [str(self.SRC),
                                              os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
         return subprocess.run([sys.executable, "-m", "gridform.cli", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": path})
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=env, **popen)
 
     @pytest.mark.parametrize("extra, status", [
         ([], EXIT_OK), (["--max-events", "22"], EXIT_LIMIT),
@@ -591,3 +623,49 @@ class TestExitStatus:
         else:
             outcome = {EXIT_OK: "FORMED", EXIT_LIMIT: "LIMIT_EXCEEDED"}
             assert json.loads(done.stdout)["outcome"] == outcome[status]
+
+    COMMANDS = ["run", "analyze", "fuzz"]
+
+    def _argv(self, command, config, target):
+        return {"run": ["run", "--config", config, "--target", target],
+                "analyze": ["analyze", "--config", config, "--target", target],
+                "fuzz": ["fuzz", "--runs", "3", "--k-range", "3..4",
+                         "--box", "5"]}[command]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_stdout_usage_error(self, ref11_file, line_file, command,
+                                     unbuffered):
+        with open("/dev/full", "w") as full:
+            done = self.gridform(*self._argv(command, ref11_file, line_file),
+                                 stdout=full, unbuffered=unbuffered)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_pipe_is_quiet(self, ref11_file, line_file, command,
+                                  unbuffered):
+        """A reader that stops early (``| head -1``) ends the command with
+        no traceback and no message."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self.gridform(*self._argv(command, ref11_file, line_file),
+                                 stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == ""
+
+    def test_closed_stdout_descriptor_is_ignored(self, ref11_file):
+        """With fd 1 closed there is no ``sys.stdout``, and ``print``
+        writes nothing: the command runs as it would, with no message."""
+        done = self.gridform("analyze", "--config", ref11_file, stdout=None,
+                             preexec_fn=lambda: os.close(1))
+        assert done.returncode == EXIT_OK
+        assert done.stderr == ""
